@@ -8,22 +8,6 @@ if _os.environ.get("ADRGNN_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["ADRGNN_THREADS"])
 
-
-def _tune_allocator() -> None:
-    # Training churns through large numpy temporaries; glibc otherwise
-    # mmaps and returns each one to the OS, which dominates runtime with
-    # page faults. Keeping big blocks on the heap is a pure win here.
-    try:
-        import ctypes
-        libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
-        libc.mallopt(-4, 0)        # M_MMAP_MAX
-    except (OSError, AttributeError):  # non-glibc platform
-        pass
-
-
-_tune_allocator()
-
 from .autodiff import Tape, Variable, backward, cg_solve
 from .graph import (EnergyReport, Graph, build_graph, dirichlet_energy,
                     erdos_renyi, laplacian_apply)

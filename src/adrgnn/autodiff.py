@@ -158,23 +158,42 @@ def _sorted_segment_boundaries(seg: np.ndarray, n: int) -> np.ndarray:
     return starts
 
 
-def _segment_max_sorted(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment max for sorted segments; empty segments yield 0."""
-    n = len(indptr) - 1
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    nonempty = indptr[1:] > indptr[:-1]
-    if nonempty.any():
-        out[nonempty] = np.maximum.reduceat(values, indptr[:-1][nonempty], axis=0)
-    return out
+def segment_max_plan(indptr: np.ndarray) -> tuple:
+    """Pairwise tree-reduction plan for per-segment maxima over contiguous
+    blocks ``indptr[i]:indptr[i+1]``.
+
+    Returns ``(head, steps)``. At step s = 1, 2, 4, ... the pair
+    ``(left, right)`` lists every row whose rank within its block is a
+    multiple of 2s and whose partner ``right = left + s`` lies in the same
+    block; after ``work[left] = max(work[left], work[right])`` over all
+    steps, each block's first row holds the block max. ``head`` maps every
+    row to its block's first row. Built in O(rows); each step's candidates
+    are a subset of the previous step's pairs.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    degree = np.diff(indptr)
+    head = np.repeat(indptr[:-1], degree)
+    rows = np.arange(len(head))
+    rank, size = rows - head, degree.repeat(degree)
+    steps = []
+    s = 1
+    while True:
+        keep = (rank % (2 * s) == 0) & (rank + s < size)
+        if not keep.any():
+            break
+        rows, rank, size = rows[keep], rank[keep], size[keep]
+        steps.append((rows, rows + s))
+        s *= 2
+    return head, steps
 
 
-def _segment_sum_sorted(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    n = len(indptr) - 1
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    nonempty = indptr[1:] > indptr[:-1]
-    if nonempty.any():
-        out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], axis=0)
-    return out
+def _segment_max_rows(values: np.ndarray, plan: tuple) -> np.ndarray:
+    """Each row's segment max, by the tree reduction of :func:`segment_max_plan`."""
+    head, steps = plan
+    work = values.copy()
+    for left, right in steps:
+        work[left] = np.maximum(np.take(work, left, axis=0), np.take(work, right, axis=0))
+    return np.take(work, head, axis=0)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -308,15 +327,24 @@ def dropout(x, p: float, train: bool, rng) -> Variable:
     return _emit(x.value * mask, (x,), bwd)
 
 
-def row_gather(x, index) -> Variable:
+def row_gather(x, index, transpose=None) -> Variable:
+    """Rows ``x[index]``. The backward rule sums gradient rows back onto
+    the rows they came from: by ``transpose @ g`` when the caller holds the
+    gather's transpose as a constant sparse matrix, by ``g[transpose]``
+    when ``index`` is a permutation and ``transpose`` its inverse index,
+    and by a scatter-add otherwise."""
     x = _as_variable(x)
     index = np.asarray(index, dtype=np.int64)
     n = x.value.shape[0]
 
     def bwd(g):
-        return (_scatter_add_rows(g, index, n),)
+        if transpose is None:
+            return (_scatter_add_rows(g, index, n),)
+        if isinstance(transpose, np.ndarray):
+            return (np.take(g, transpose, axis=0),)
+        return (transpose @ g,)
 
-    return _emit(x.value[index], (x,), bwd)
+    return _emit(np.take(x.value, index, axis=0), (x,), bwd)
 
 
 def slice_columns(x, start: int, stop: int) -> Variable:
@@ -353,26 +381,26 @@ def segment_sum(values, target_index, n: int) -> Variable:
     return _emit(_scatter_add_rows(values.value, target_index, n), (values,), bwd)
 
 
-def segment_softmax(values, source_index, n: int, indptr=None, selector=None) -> Variable:
+def segment_softmax(values, source_index, n: int, scatter=None, max_plan=None) -> Variable:
     """Channel-wise softmax over each source node's contiguous edge block.
 
     Requires sorted segment ids (the graph's directed-edge order). Callers
-    holding the graph's CSR machinery can pass ``indptr`` (boundary
-    pointers) and ``selector`` (gather/scatter matrix pair) to skip the
-    per-call index work. Uses the max-shifted form for overflow safety;
-    each nonempty segment's outputs sum to 1 per channel.
+    holding a graph pass its cached ``scatter`` (the sparse node-by-edge
+    sum matrix) and ``max_plan`` (:meth:`Graph.segment_max_plan`) to skip
+    the per-call index work; without them the plan is built from the
+    segment boundaries and the sums are scatter-adds. The overflow shift
+    is each segment's max, taken by a pairwise tree reduction, which is
+    exact. Each nonempty segment's outputs sum to 1 per channel.
     """
     values = _as_variable(values)
     seg = np.asarray(source_index, dtype=np.int64)
-    if indptr is None:
-        indptr = _sorted_segment_boundaries(seg, n)
-    if selector is not None:
-        gather_mat, scatter_mat = selector
-        expand_sum = lambda x: gather_mat @ (scatter_mat @ x)
+    if max_plan is None:
+        max_plan = segment_max_plan(_sorted_segment_boundaries(seg, n))
+    if scatter is not None:
+        expand_sum = lambda x: np.take(scatter @ x, seg, axis=0)
     else:
-        expand_sum = lambda x: _segment_sum_sorted(x, indptr)[seg]
-    shifted = values.value - _segment_max_sorted(values.value, indptr)[seg]
-    e = np.exp(shifted)
+        expand_sum = lambda x: np.take(_scatter_add_rows(x, seg, n), seg, axis=0)
+    e = np.exp(values.value - _segment_max_rows(values.value, max_plan))
     y = e / expand_sum(e)
 
     def bwd(g):
@@ -479,7 +507,7 @@ def cross_entropy(logits, labels, mask=None) -> Variable:
         p = np.exp(z - zmax)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(len(rows)), labels[rows]] -= 1.0
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=p.dtype)
         full[rows] = p / len(rows)
         return (full * g,)
 
@@ -498,7 +526,7 @@ def mse(pred, target, mask=None) -> Variable:
     shape = pred.value.shape
 
     def bwd(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=diff.dtype)
         full[m] = 2.0 * diff / count
         return (full * g,)
 
@@ -517,7 +545,7 @@ def mae(pred, target, mask=None) -> Variable:
     shape = pred.value.shape
 
     def bwd(g):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype=diff.dtype)
         full[m] = np.sign(diff) / count
         return (full * g,)
 
@@ -538,21 +566,29 @@ def _cg_channels(lap_apply: Callable, b: np.ndarray, kappa: np.ndarray,
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
-    rr = (r * r).sum(axis=0)
+    buf = np.empty_like(b)
+
+    def column_dot(u, v):
+        return np.multiply(u, v, out=buf).sum(axis=0)
+
+    rr = column_dot(r, r)
     tol2 = tol * tol
     h_kappa = (h * kappa)[None, :]
     for _ in range(iterations):
         if rr.max() <= tol2:
             break
-        a_p = p + lap_apply(p) * h_kappa
-        p_ap = (p * a_p).sum(axis=0)
+        # lap_apply may return its argument, so its result is never written
+        a_p = lap_apply(p) * h_kappa
+        a_p += p
+        p_ap = column_dot(p, a_p)
         active = (rr > tol2) & (p_ap > 0)
-        alpha = np.where(active, rr / np.where(p_ap > 0, p_ap, 1.0), 0.0)
-        x = x + alpha[None, :] * p
-        r = r - alpha[None, :] * a_p
-        rr_new = (r * r).sum(axis=0)
+        alpha = np.where(active, rr / np.where(p_ap > 0, p_ap, 1.0), 0.0)[None, :]
+        x += np.multiply(alpha, p, out=buf)
+        r -= np.multiply(alpha, a_p, out=buf)
+        rr_new = column_dot(r, r)
         beta = np.where(active, rr_new / np.where(rr > 0, rr, 1.0), 0.0)
-        p = r + beta[None, :] * p
+        p *= beta[None, :]
+        p += r
         rr = rr_new
     if not np.isfinite(x).all():
         raise FloatingPointError("cg_solve: non-finite values encountered")

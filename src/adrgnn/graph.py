@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .autodiff import segment_max_plan
 from .runtime import philox
 
 
@@ -22,8 +23,11 @@ class Graph:
     in ``edge_src`` / ``edge_dst``, and indexed CSR-style by ``out_indptr``
     so that the outbound edges of node i occupy the contiguous slice
     ``out_indptr[i]:out_indptr[i+1]``. ``rev_edge`` maps each directed
-    edge to its reverse orientation. Instances are immutable after
-    construction and safe to share across threads.
+    edge to its reverse orientation; it is an involution, so gathering by
+    it is its own transpose. Constant operators built from the edge list
+    (the sparse selectors and the segment-max plan over the outbound
+    blocks) are built on first use and cached. Instances are immutable
+    after construction and safe to share across threads.
     """
 
     def __init__(self, n_nodes: int, edge_src: np.ndarray, edge_dst: np.ndarray):
@@ -60,25 +64,27 @@ class Graph:
             (np.ones(self.n_edges), (edge_dst, edge_src)), shape=(self.n_nodes, self.n_nodes)
         )
         self._selectors: dict[str, tuple] = {}
+        self._max_plan: tuple | None = None
 
     def edge_selector(self, kind: str):
         """Cached (matrix, transpose) pair of constant sparse selectors:
         'src'/'dst' gather node rows onto edges (transpose scatter-adds
-        edges back onto nodes); 'rev' permutes edges onto their reverses."""
+        edges back onto nodes)."""
         if kind not in self._selectors:
-            m, n = self.n_edges, self.n_nodes
-            ones = np.ones(m)
-            rows = np.arange(m)
-            if kind == "src":
-                mat = sp.csr_matrix((ones, (rows, self.edge_src)), shape=(m, n))
-            elif kind == "dst":
-                mat = sp.csr_matrix((ones, (rows, self.edge_dst)), shape=(m, n))
-            elif kind == "rev":
-                mat = sp.csr_matrix((ones, (rows, self.rev_edge)), shape=(m, m))
-            else:
+            if kind not in ("src", "dst"):
                 raise ValueError(f"unknown selector {kind!r}")
+            m, n = self.n_edges, self.n_nodes
+            index = self.edge_src if kind == "src" else self.edge_dst
+            mat = sp.csr_matrix((np.ones(m), (np.arange(m), index)), shape=(m, n))
             self._selectors[kind] = (mat, mat.T.tocsr())
         return self._selectors[kind]
+
+    def segment_max_plan(self) -> tuple:
+        """Cached tree-reduction plan for per-node maxima over the outbound
+        edge blocks (see :func:`adrgnn.autodiff.segment_max_plan`)."""
+        if self._max_plan is None:
+            self._max_plan = segment_max_plan(self.out_indptr)
+        return self._max_plan
 
     def out_edges(self, i: int) -> slice:
         return slice(self.out_indptr[i], self.out_indptr[i + 1])

@@ -5,8 +5,8 @@ import pytest
 
 import adrgnn.autodiff as ad
 from adrgnn.autodiff import BatchNormState, Linear, Tape, Variable, backward
-from adrgnn.graph import erdos_renyi
-from adrgnn.runtime import philox
+from adrgnn.graph import build_graph, erdos_renyi
+from adrgnn.runtime import default_dtype, philox, set_default_dtype
 
 from conftest import check_grads, fd_gradient, ad_gradient, max_rel_err
 
@@ -284,6 +284,93 @@ class TestLosses:
         target = np.array([[0.0], [1.0]])
         assert float(ad.mse(pred, target).value) == pytest.approx((1 + 4) / 2)
         assert float(ad.mae(pred, target).value) == pytest.approx((1 + 2) / 2)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_loss_gradients_keep_the_working_dtype(self, dtype):
+        previous = default_dtype().name
+        set_default_dtype(dtype)
+        try:
+            gen = philox(12)
+            x = Variable(gen.standard_normal((6, 3)), requires_grad=True)
+            mask = np.array([True, False, True, True, False, True])
+            losses = [lambda: ad.cross_entropy(x, np.arange(6) % 3, mask),
+                      lambda: ad.mse(x, np.ones((6, 3)), mask),
+                      lambda: ad.mae(x, np.ones((6, 3)), mask)]
+            for make_loss in losses:
+                with Tape() as tape:
+                    loss = make_loss()
+                # the rule's own output: Variable.grad would cast it back on +=
+                _, _, rule = tape.records[loss.tape_id]
+                (grad,) = rule(np.ones_like(loss.value))
+                assert loss.value.dtype == grad.dtype == np.dtype(dtype)
+        finally:
+            set_default_dtype(previous)
+
+
+def _reference_segment_softmax(values: np.ndarray, indptr: np.ndarray):
+    """Per-segment max and softmax, one block at a time, with the sum
+    accumulated row by row in edge order."""
+    seg_max = np.empty_like(values)
+    soft = np.empty_like(values)
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        if lo == hi:
+            continue
+        block = values[lo:hi]
+        top = block[0].copy()
+        for row in block[1:]:
+            top = np.maximum(top, row)
+        e = np.exp(block - top)
+        total = np.zeros_like(top)
+        for row in e:
+            total = total + row
+        seg_max[lo:hi] = top
+        soft[lo:hi] = e / total
+    return seg_max, soft
+
+
+def _segment_graphs():
+    star = [(0, i) for i in range(1, 1201)] + [(i, i + 1) for i in range(1, 1200)]
+    return {
+        "isolated_nodes": build_graph([(0, 1), (1, 2), (4, 5), (4, 6)], 9),
+        "no_edges": build_graph([], 4),
+        "star_hub_1200": build_graph(star, 1201),
+        "erdos_renyi_6": erdos_renyi(6, 0.6, seed=5),
+    }
+
+
+class TestSegmentSoftmaxExact:
+    """The tree-reduced segment max and the softmax built on it equal a
+    plain per-segment reference bit for bit."""
+
+    @pytest.mark.parametrize("name", list(_segment_graphs()))
+    def test_matches_reference_bit_for_bit(self, name):
+        g = _segment_graphs()[name]
+        gen = philox(21)
+        values = gen.standard_normal((g.n_edges, 3)) * 40.0
+        values[::5, 1] = 700.0  # ties, and exp overflow without the shift
+        want_max, want_soft = _reference_segment_softmax(values, g.out_indptr)
+
+        for plan in (g.segment_max_plan(), ad.segment_max_plan(g.out_indptr)):
+            got_max = ad._segment_max_rows(values, plan)
+            assert np.array_equal(got_max, want_max)
+
+        plain = ad.segment_softmax(Variable(values), g.edge_src, g.n_nodes)
+        cached = ad.segment_softmax(Variable(values), g.edge_src, g.n_nodes,
+                                    scatter=g.edge_selector("src")[1],
+                                    max_plan=g.segment_max_plan())
+        assert np.array_equal(plain.value, want_soft)
+        assert np.array_equal(cached.value, want_soft)
+
+    def test_plan_covers_every_row_once_per_block(self):
+        g = _segment_graphs()["star_hub_1200"]
+        head, steps = g.segment_max_plan()
+        np.testing.assert_array_equal(head, g.out_indptr[:-1][g.edge_src])
+        assert len(steps) == int(np.ceil(np.log2(g.degree.max())))
+        # every row but its block's head is read as a right operand exactly once
+        rights = np.concatenate([right for _, right in steps])
+        assert np.array_equal(np.sort(rights), np.setdiff1d(np.arange(g.n_edges), head))
+        for left, right in steps:
+            assert np.array_equal(head[left], head[right])
 
 
 class TestLinear:

@@ -1,0 +1,64 @@
+"""The benchmark's traced run (perfbench/tracing.py) wraps program functions
+by name from outside the program. These tests keep those names in place:
+a renamed or moved function would make the traced run fail, or silently
+report zero for its per-layer metric."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import adrgnn.autodiff as ad
+from adrgnn.autodiff import Tape, Variable
+from adrgnn.data import make_planted_partition
+from adrgnn.training import TrainConfig, train_node_classification
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_resolves_to_a_callable(tracing):
+    assert tracing.SPANS
+    for path, attr, _name in tracing.SPANS:
+        owner = tracing._resolve(path)
+        assert callable(getattr(owner, attr, None)), f"{path}.{attr} is gone"
+
+
+def test_cg_solve_records_its_own_tape_entry():
+    # the cg_adjoint span wraps the backward rule of this record
+    rhs = Variable(np.ones((3, 2)), requires_grad=True)
+    with Tape() as tape:
+        out = ad.cg_solve(lambda x: 0.5 * x, rhs, Variable(np.ones(2)), h=1.0)
+    assert tape.records[out.tape_id][0] is out
+
+
+def test_traced_training_reaches_every_wrapped_stage(tracing):
+    bundle = make_planted_partition(30, 2, 0.3, 0.05, feat_dim=5, noise=0.5, seed=0,
+                                    k_splits=1)
+    cfg = TrainConfig(epochs=1, patience=5, layers=2, hidden=8)
+    tracer = tracing.Tracer()
+    originals = [getattr(tracing._resolve(path), attr) for path, attr, _ in tracing.SPANS]
+    tracer.install()
+    try:
+        train_node_classification(bundle, cfg)
+    finally:
+        tracer.uninstall()
+    assert [getattr(tracing._resolve(path), attr)
+            for path, attr, _ in tracing.SPANS] == originals
+    for name in ("graph.laplacian_apply", "autodiff.cg_solve", "autodiff.cg_adjoint",
+                 "autodiff.segment_softmax", "autodiff.fixed_sparse_matmul",
+                 "autodiff.matmul", "autodiff.backward", "operators.edge_velocities",
+                 "operators.diffuse", "training.adamw_step", "training.loss",
+                 "models.forward_train", "models.input_embedding",
+                 tracing.TAPE_FREE_FORWARD):
+        assert tracer.totals.get(name, [0])[0] > 0, f"span {name} never ran"

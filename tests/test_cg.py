@@ -70,6 +70,44 @@ class TestForwardSolve:
         assert np.abs(residual).max() < 1e-10
 
 
+class TestInPlaceIterations:
+    """The iterations update their own work arrays in place; nothing the
+    caller passed in, or the operator returned, is written."""
+
+    def test_rhs_and_upstream_gradient_unmodified(self):
+        g = erdos_renyi(12, 0.4, seed=3)
+        gen = philox(5)
+        rhs = Variable(gen.standard_normal((12, 3)), requires_grad=True)
+        kappa = Variable(np.array([0.2, 0.6, 1.0]), requires_grad=True)
+        upstream = gen.standard_normal((12, 3))
+        rhs_before, upstream_before = rhs.value.copy(), upstream.copy()
+        with Tape() as tape:
+            out = ad.cg_solve(lap_fn(g), rhs, kappa, h=0.9, iterations=5)
+        _, _, rule = tape.records[out.tape_id]
+        rule(upstream)
+        assert np.array_equal(rhs.value, rhs_before)
+        assert np.array_equal(upstream, upstream_before)
+
+    def test_operator_returning_its_argument(self):
+        # L = I: the solve is b / (1 + h kappa) per channel, and the kappa
+        # gradient of sum(w * u) is -h sum(w * b) / (1 + h kappa)^2
+        gen = philox(7)
+        b = gen.standard_normal((9, 4))
+        w = gen.standard_normal((9, 4))
+        h, kappa_values = 0.8, np.array([0.0, 0.3, 0.7, 1.0])
+        rhs = Variable(b.copy(), requires_grad=True)
+        kappa = Variable(kappa_values.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = ad.cg_solve(lambda x: x, rhs, kappa, h, iterations=5)
+            loss = ad.total_sum(ad.hadamard(out, Variable(w)))
+        backward(tape, loss)
+        scale = 1.0 + h * kappa_values
+        np.testing.assert_allclose(out.value, b / scale, rtol=1e-14)
+        np.testing.assert_allclose(rhs.grad, w / scale, rtol=1e-14)
+        np.testing.assert_allclose(kappa.grad, -h * (w * b).sum(axis=0) / scale ** 2,
+                                   rtol=1e-12)
+
+
 class TestGradients:
     def test_rhs_and_kappa_match_finite_differences(self):
         g = erdos_renyi(7, 0.6, seed=1)
