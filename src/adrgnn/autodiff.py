@@ -133,11 +133,6 @@ def backward(tape: Tape, loss: Variable) -> None:
             v.grad += grads[key]
 
 
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 # ---------------------------------------------------------------------------
 # scatter / segment helpers (shared by primitives)
 

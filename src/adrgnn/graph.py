@@ -132,14 +132,16 @@ def laplacian_apply(g: Graph, u: np.ndarray) -> np.ndarray:
     """Apply the symmetric normalized Laplacian D^{-1/2}(D-A)D^{-1/2}.
 
     Row i of the result is u_i - sum_{j in N_i} u_j / sqrt(d_i d_j) for
-    nodes with neighbors; isolated nodes map to zero rows.
+    nodes with neighbors; isolated nodes map to zero rows. Float32 input is
+    applied in float32; the float64 operands are used as they are.
     """
     u = np.asarray(u)
     if u.shape[0] != g.n_nodes:
         raise ValueError(f"feature rows {u.shape[0]} != n_nodes {g.n_nodes}")
-    if u.ndim == 1:
-        return g._deg_mask * u - g._adj_norm @ u
-    return g._deg_mask[:, None] * u - g._adj_norm @ u
+    mask, adj = g._deg_mask, g._adj_norm
+    if u.dtype == np.float32:
+        mask, adj = mask.astype(np.float32), adj.astype(np.float32)
+    return (mask if u.ndim == 1 else mask[:, None]) * u - adj @ u
 
 
 def laplacian_dense(g: Graph) -> np.ndarray:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Linear, Variable
 from .graph import Graph, dirichlet_energy
-from .operators import AdrLayerParams, adr_layer
+from .operators import AdrLayerParams, ReactionParams, adr_layer
 from .runtime import SeedStream, default_dtype
 
 
@@ -53,13 +53,7 @@ def _input_linear(x, lin: Linear, p_io: float, train: bool, rng) -> Variable:
     """Dropout followed by the embedding layer, with a CSR fast path."""
     if isinstance(x, SparseFeatures):
         mat = x.dropout(p_io, rng.child()) if (train and p_io > 0) else x.csr
-        mat_t = mat.T.tocsr()
-        w = lin.w
-
-        def bwd(g):
-            return (mat_t @ g,)
-
-        y = ad._emit(mat @ w.value, (w,), bwd)
+        y = ad.fixed_sparse_matmul(mat, mat.T.tocsr(), lin.w)
         return ad.add(y, lin.b) if lin.b is not None else y
     x = ad._as_variable(x)
     if train and p_io > 0:
@@ -68,9 +62,65 @@ def _input_linear(x, lin: Linear, p_io: float, train: bool, rng) -> Variable:
 
 
 # ---------------------------------------------------------------------------
+# parameter registry
+
+def param_groups(parts) -> dict[str, list[Variable]]:
+    """Parameters of ``(group, container)`` pairs by optimizer group; groups
+    keep the order of their first part, parameters the order of the parts."""
+    groups: dict[str, list[Variable]] = {}
+    for group, part in parts:
+        groups.setdefault(group, []).extend(part.parameters())
+    return groups
+
+
+class ParameterRegistry:
+    """Parameter names, optimizer groups and batch-norm state, all derived
+    from one ordered ``_parts()`` list of ``(group, container)`` pairs. The
+    order of that list is the order of the checkpoint arrays."""
+
+    def _parts(self) -> list[tuple[str, object]]:
+        raise NotImplementedError
+
+    def named_parameters(self) -> dict[str, Variable]:
+        return {p.name: p for _group, part in self._parts() for p in part.parameters()}
+
+    def param_groups(self) -> dict[str, list[Variable]]:
+        return param_groups(self._parts())
+
+    def extra_state(self) -> dict[str, np.ndarray]:
+        """The live batch-norm running statistics, by checkpoint name."""
+        return {name: arr for _group, part in self._parts()
+                if isinstance(part, ReactionParams) for name, arr in part.state().items()}
+
+    def snapshot(self) -> dict:
+        """Copies of every parameter and state array, for :meth:`restore`."""
+        return {"params": {n: v.value.copy() for n, v in self.named_parameters().items()},
+                "state": {n: a.copy() for n, a in self.extra_state().items()}}
+
+    def restore(self, params: dict, state: dict) -> None:
+        """Load parameter values (with zeroed gradients) and, in place, the
+        batch-norm statistics; names and shapes must match the model's."""
+        named, extra = self.named_parameters(), self.extra_state()
+        current = {**{n: v.value for n, v in named.items()}, **extra}
+        saved = {**params, **state}
+        if set(saved) != set(current):
+            raise ValueError("checkpoint array names do not match config: "
+                             f"{sorted(set(saved) ^ set(current))}")
+        for name, arr in current.items():
+            if saved[name].shape != arr.shape:
+                raise ValueError(
+                    f"checkpoint {name}: shape {saved[name].shape} != expected {arr.shape}")
+        for name, var in named.items():
+            var.value = params[name].astype(default_dtype())
+            var.grad = np.zeros_like(var.value)
+        for name, arr in extra.items():
+            arr[...] = state[name]
+
+
+# ---------------------------------------------------------------------------
 # static classifier
 
-class AdrGnnStatic:
+class AdrGnnStatic(ParameterRegistry):
     """Embedding, L operator-split layers with unshared weights, classifier."""
 
     def __init__(self, config: dict, g_in: Linear, layers: list[AdrLayerParams],
@@ -130,38 +180,9 @@ class AdrGnnStatic:
             return logits, stages
         return logits
 
-    def named_parameters(self) -> dict[str, Variable]:
-        params: list[Variable] = self.g_in.parameters() + self.g_out.parameters()
-        for layer in self.layers:
-            params += layer.advection.parameters()
-            params += layer.diffusion.parameters()
-            params += layer.reaction.parameters()
-        return {p.name: p for p in params}
-
-    def param_groups(self) -> dict[str, list[Variable]]:
-        groups = {
-            "embedding": self.g_in.parameters() + self.g_out.parameters(),
-            "advection": [], "diffusion": [], "reaction": [],
-        }
-        for layer in self.layers:
-            groups["advection"] += layer.advection.parameters()
-            groups["diffusion"] += layer.diffusion.parameters()
-            groups["reaction"] += layer.reaction.parameters()
-        return groups
-
-    def extra_state(self) -> dict[str, np.ndarray]:
-        state = {}
-        for l, layer in enumerate(self.layers):
-            bn = layer.reaction.bn_state
-            if bn is not None:
-                state[f"layers.{l}.react.bn.running_mean"] = bn.running_mean
-                state[f"layers.{l}.react.bn.running_var"] = bn.running_var
-        return state
-
-
-def forward_static(model: AdrGnnStatic, g: Graph, x, train: bool = False,
-                   rng: Optional[SeedStream] = None, **kwargs):
-    return model.forward(g, x, train=train, rng=rng, **kwargs)
+    def _parts(self) -> list[tuple[str, object]]:
+        return ([("embedding", self.g_in), ("embedding", self.g_out)]
+                + [part for layer in self.layers for part in layer.parts()])
 
 
 def static_parameter_count(c_in: int, c_out: int, hidden: int, layers: int,
@@ -203,7 +224,7 @@ def broadcast_time_embedding(emb: np.ndarray, n_nodes: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # temporal forecaster
 
-class AdrGnnTemporal:
+class AdrGnnTemporal(ParameterRegistry):
     """Two-track temporal model: ADR dynamics on the state track, velocities
     and reaction skip from the history track, plus a projected time embedding."""
 
@@ -285,44 +306,11 @@ class AdrGnnTemporal:
             return predictions, stages
         return predictions
 
-    def named_parameters(self) -> dict[str, Variable]:
-        params: list[Variable] = (self.g_time_embed.parameters()
-                                  + self.g_in_state.parameters()
-                                  + self.g_in_hist.parameters()
-                                  + self.g_out_state.parameters())
-        for layer in self.layers:
-            params += layer.advection.parameters()
-            params += layer.diffusion.parameters()
-            params += layer.reaction.parameters()
-        for lin in self.g_hist:
-            params += lin.parameters()
-        return {p.name: p for p in params}
-
-    def param_groups(self) -> dict[str, list[Variable]]:
-        embedding = (self.g_time_embed.parameters() + self.g_in_state.parameters()
-                     + self.g_in_hist.parameters() + self.g_out_state.parameters())
-        for lin in self.g_hist:
-            embedding += lin.parameters()
-        groups = {"embedding": embedding, "advection": [], "diffusion": [], "reaction": []}
-        for layer in self.layers:
-            groups["advection"] += layer.advection.parameters()
-            groups["diffusion"] += layer.diffusion.parameters()
-            groups["reaction"] += layer.reaction.parameters()
-        return groups
-
-    def extra_state(self) -> dict[str, np.ndarray]:
-        state = {}
-        for l, layer in enumerate(self.layers):
-            bn = layer.reaction.bn_state
-            if bn is not None:
-                state[f"layers.{l}.react.bn.running_mean"] = bn.running_mean
-                state[f"layers.{l}.react.bn.running_var"] = bn.running_var
-        return state
-
-
-def forward_temporal(model: AdrGnnTemporal, g: Graph, x_temporal, t_emb,
-                     train: bool = False, rng: Optional[SeedStream] = None, **kwargs):
-    return model.forward(g, x_temporal, t_emb, train=train, rng=rng, **kwargs)
+    def _parts(self) -> list[tuple[str, object]]:
+        embeddings = (self.g_time_embed, self.g_in_state, self.g_in_hist, self.g_out_state)
+        return ([("embedding", lin) for lin in embeddings]
+                + [part for layer in self.layers for part in layer.parts()]
+                + [("embedding", lin) for lin in self.g_hist])
 
 
 # ---------------------------------------------------------------------------
@@ -337,24 +325,10 @@ def gcn_norm_adjacency(g: Graph) -> sp.csr_matrix:
     return sp.diags(d_inv_sqrt) @ a @ sp.diags(d_inv_sqrt)
 
 
-class _SymmetricMatvec:
-    def __init__(self, matrix: sp.csr_matrix):
-        self.matrix = matrix
-
-    def __call__(self, u) -> Variable:
-        u = ad._as_variable(u)
-        mat = self.matrix
-
-        def bwd(grad):
-            return (mat @ grad,)
-
-        return ad._emit(mat @ u.value, (u,), bwd)
-
-
-class GcnBaseline:
+class GcnBaseline(ParameterRegistry):
     """Plain convolution stack: ReLU(A_hat (U W)) per layer, linear head."""
 
-    def __init__(self, config: dict, convs: list[Linear], head: Optional[Linear]):
+    def __init__(self, config: dict, convs: list[Linear], head: Linear):
         self.config = config
         self.convs = convs
         self.head = head
@@ -375,36 +349,21 @@ class GcnBaseline:
                 rng: Optional[SeedStream] = None, diagnostics: bool = False):
         p = self.config.get("dropout", 0.0)
         rng = _dropout_rng(rng, train, p > 0)
-        a_hat = _SymmetricMatvec(gcn_norm_adjacency(g))
+        a_hat = gcn_norm_adjacency(g)  # symmetric: its own transpose
         u = ad._as_variable(x)
         stages = [u]
         for conv in self.convs:
             if train and p > 0:
                 u = ad.dropout(u, p, train, rng.child())
-            u = ad.relu(a_hat(conv(u)))
+            u = ad.relu(ad.fixed_sparse_matmul(a_hat, a_hat, conv(u)))
             stages.append(u)
-        logits = self.head(u) if self.head is not None else u
+        logits = self.head(u)
         if diagnostics:
             return logits, stages
         return logits
 
-    def named_parameters(self) -> dict[str, Variable]:
-        params: list[Variable] = []
-        for conv in self.convs:
-            params += conv.parameters()
-        if self.head is not None:
-            params += self.head.parameters()
-        return {p.name: p for p in params}
-
-    def param_groups(self) -> dict[str, list[Variable]]:
-        return {"embedding": list(self.named_parameters().values())}
-
-    def extra_state(self) -> dict[str, np.ndarray]:
-        return {}
-
-
-def forward_gcn_baseline(g: Graph, x, weights: GcnBaseline, **kwargs):
-    return weights.forward(g, x, **kwargs)
+    def _parts(self) -> list[tuple[str, object]]:
+        return [("embedding", lin) for lin in self.convs + [self.head]]
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +382,13 @@ def save_checkpoint(path, model) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint; validates every array shape."""
+    """Rebuild a model from a checkpoint; validates every array name and shape."""
     with np.load(path) as data:
         config = json.loads(bytes(data["__config__"]).decode("utf-8"))
         params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
         state = {k[len("state:"):]: data[k] for k in data.files if k.startswith("state:")}
     model = build_model(config)
-    model_params = model.named_parameters()
-    if set(model_params) != set(params):
-        missing = set(model_params) ^ set(params)
-        raise ValueError(f"checkpoint parameter names do not match config: {sorted(missing)}")
-    for name, var in model_params.items():
-        if params[name].shape != var.value.shape:
-            raise ValueError(
-                f"checkpoint {name}: shape {params[name].shape} != expected {var.value.shape}")
-        var.value = params[name].astype(default_dtype())
-        var.grad = np.zeros_like(var.value)
-    for l, layer in enumerate(getattr(model, "layers", [])):
-        if isinstance(layer, AdrLayerParams) and layer.reaction.bn_state is not None:
-            layer.reaction.bn_state.running_mean = state[f"layers.{l}.react.bn.running_mean"]
-            layer.reaction.bn_state.running_var = state[f"layers.{l}.react.bn.running_var"]
+    model.restore(params, state)
     return model
 
 

@@ -112,6 +112,15 @@ class ReactionParams:
             out += [self.bn_gamma, self.bn_beta]
         return out
 
+    def state(self) -> dict[str, np.ndarray]:
+        """The live batch-norm running statistics, named after the batch-norm
+        parameters (``<name>.bn.running_mean``, ``<name>.bn.running_var``)."""
+        if self.bn_state is None:
+            return {}
+        prefix = self.bn_gamma.name.removesuffix("_gamma")
+        return {f"{prefix}.running_mean": self.bn_state.running_mean,
+                f"{prefix}.running_var": self.bn_state.running_var}
+
 
 @dataclass
 class AdrLayerParams:
@@ -127,6 +136,11 @@ class AdrLayerParams:
             diffusion=DiffusionParams.init(c, name=f"{name}.diff"),
             reaction=ReactionParams.init(c, rng, use_batchnorm, name=f"{name}.react"),
         )
+
+    def parts(self) -> list[tuple[str, object]]:
+        """The three terms' parameter containers, by optimizer group."""
+        return [("advection", self.advection), ("diffusion", self.diffusion),
+                ("reaction", self.reaction)]
 
 
 @dataclass
@@ -240,40 +254,16 @@ def spectral_radius_estimate(a: np.ndarray, tol: float = 1e-13,
 # diffusion
 
 def diffuse(g: Graph, u, params: DiffusionParams, h: float,
-            cg_iterations: int = 5, cg_tol: float = 1e-10,
-            explicit: bool = False) -> Variable:
-    """Diffusion step with per-channel coefficients kappa = hardtanh(theta, 0, 1).
-
-    Default is the unconditionally stable implicit Euler step, a CG solve of
-    (I + h*kappa_c*L)u_c = u_c per channel. ``explicit=True`` switches to the
-    forward Euler step u - h*L u K (small h only; kept for the splitting and
-    ablation studies).
+            cg_iterations: int = 5, cg_tol: float = 1e-10) -> Variable:
+    """Diffusion step with per-channel coefficients kappa = hardtanh(theta, 0, 1):
+    the unconditionally stable implicit Euler step, a CG solve of
+    (I + h*kappa_c*L)u_c = u_c per channel.
     """
     u = ad._as_variable(u)
     if u.value.shape[0] != g.n_nodes:
         raise ValueError(f"diffuse: feature rows {u.value.shape[0]} != n_nodes {g.n_nodes}")
-    kappa = params.effective()
-    if explicit:
-        lap_u = LaplacianOp(g)(u)
-        return ad.subtract(u, ad.scale_by_scalar(ad.hadamard(lap_u, kappa), h))
-    return ad.cg_solve(lambda x: laplacian_apply(g, x), u, kappa, h,
+    return ad.cg_solve(lambda x: laplacian_apply(g, x), u, params.effective(), h,
                        iterations=cg_iterations, tol=cg_tol)
-
-
-class LaplacianOp:
-    """Tape-aware normalized-Laplacian application (self-adjoint, constant)."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-
-    def __call__(self, u) -> Variable:
-        u = ad._as_variable(u)
-        g_ref = self.g
-
-        def bwd(grad):
-            return (laplacian_apply(g_ref, grad),)  # L is symmetric
-
-        return ad._emit(laplacian_apply(g_ref, u.value), (u,), bwd)
 
 
 # ---------------------------------------------------------------------------

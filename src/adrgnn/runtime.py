@@ -54,8 +54,3 @@ class SeedStream:
         rng = philox(self.seed, self._counter)
         self._counter += 1
         return rng
-
-    def child_seed(self) -> int:
-        """A derived integer seed (for spawning nested streams)."""
-        rng = self.child()
-        return int(rng.integers(0, 2**63 - 1))

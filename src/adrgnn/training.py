@@ -19,7 +19,8 @@ from .autodiff import Tape, Variable, backward
 from .data import DatasetBundle, TemporalDataset, TransportTask, make_windows
 from .graph import EnergyReport
 from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, SparseFeatures,
-                     broadcast_time_embedding, layer_energy_profile, time_embedding)
+                     broadcast_time_embedding, layer_energy_profile, param_groups,
+                     time_embedding)
 from .operators import AdrLayerParams, adr_layer
 from .runtime import SeedStream, philox
 
@@ -36,6 +37,7 @@ class TrainingDiverged(RuntimeError):
 # configuration
 
 GROUPS = ("embedding", "advection", "diffusion", "reaction")
+LOSSES = ("cross_entropy", "mse", "mae")
 LAYER_CHOICES = (2, 4, 8, 16, 32, 64)
 CHANNEL_CHOICES = (8, 16, 32, 64, 128, 256)
 
@@ -79,6 +81,8 @@ class TrainConfig:
             problems.append(f"layers={self.layers} not in {LAYER_CHOICES}")
         if self.hidden not in CHANNEL_CHOICES:
             problems.append(f"hidden={self.hidden} not in {CHANNEL_CHOICES}")
+        if self.loss not in LOSSES:
+            problems.append(f"loss={self.loss!r} not in {LOSSES}")
         if strict and problems:
             raise ValueError("config outside allowed ranges: " + "; ".join(problems))
         for p in problems:
@@ -226,26 +230,24 @@ class AdamW:
                 p.zero_grad()
 
 
-def optimizer_step(optimizer: AdamW) -> None:
-    optimizer.step()
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-
-def _snapshot(model) -> dict:
-    params = {name: var.value.copy() for name, var in model.named_parameters().items()}
-    state = {name: arr.copy() for name, arr in model.extra_state().items()}
-    return {"params": params, "state": state}
-
-
-def _restore(model, snapshot: dict) -> None:
-    for name, var in model.named_parameters().items():
-        var.value = snapshot["params"][name].copy()
-        var.grad = np.zeros_like(var.value)
-    state = model.extra_state()
-    for name in state:
-        state[name][...] = snapshot["state"][name]
+def train_step(optimizer: AdamW, build_loss: Callable[[], Variable], where: str) -> float:
+    """One optimizer step: tape ``build_loss()`` (the forward pass and the
+    loss), backpropagate, apply and clear the gradients. Returns the loss
+    value. A non-finite loss or a FloatingPointError (a non-finite solve)
+    raises TrainingDiverged naming ``where``; AdamW names the parameter of
+    a non-finite gradient."""
+    try:
+        with Tape() as tape:
+            loss = build_loss()
+        value = float(loss.value)
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"non-finite loss at {where}")
+        backward(tape, loss)
+        optimizer.step()
+    except FloatingPointError as exc:
+        raise TrainingDiverged(f"{where}: {exc}") from exc
+    optimizer.zero_grad()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -275,34 +277,31 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
     optimizer = AdamW(model.param_groups(), cfg.lr, cfg.weight_decay)
     stream = SeedStream(cfg.seed + split_index)
     history: list[dict] = []
-    best = {"val": -np.inf, "epoch": -1, "snapshot": _snapshot(model)}
+    best = {"val": -np.inf, "epoch": -1, "snapshot": model.snapshot()}
+
+    def build_loss() -> Variable:
+        logits = model.forward(g, x, train=True, rng=stream, **forward_kwargs)
+        return ad.cross_entropy(logits, labels, train_mask)
+
     for epoch in range(cfg.epochs):
+        loss_value = train_step(optimizer, build_loss, f"epoch {epoch}")
         try:
-            with Tape() as tape:
-                logits = model.forward(g, x, train=True, rng=stream, **forward_kwargs)
-                loss = ad.cross_entropy(logits, labels, train_mask)
-            loss_value = float(loss.value)
-            if not np.isfinite(loss_value):
-                raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
-            backward(tape, loss)
-            optimizer.step()
-            optimizer.zero_grad()
             eval_logits = model.forward(g, x, train=False, **forward_kwargs).value
         except FloatingPointError as exc:
             raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
         val_acc = classification_metrics(eval_logits, labels, val_mask).accuracy
         history.append({"epoch": epoch, "train_loss": loss_value, "val_accuracy": val_acc})
         if val_acc > best["val"]:
-            best = {"val": val_acc, "epoch": epoch, "snapshot": _snapshot(model)}
+            best = {"val": val_acc, "epoch": epoch, "snapshot": model.snapshot()}
         elif val_acc == best["val"]:
             # keep the most-trained checkpoint among equal validation maxima;
             # patience still counts from the first time the maximum was hit
-            best["snapshot"] = _snapshot(model)
+            best["snapshot"] = model.snapshot()
             if epoch - best["epoch"] >= cfg.patience:
                 break
         elif epoch - best["epoch"] >= cfg.patience:
             break
-    _restore(model, best["snapshot"])
+    model.restore(**best["snapshot"])
     eval_logits = model.forward(g, x, train=False, **forward_kwargs).value
     metrics = classification_metrics(eval_logits, labels, test_mask)
     val_metrics = classification_metrics(eval_logits, labels, val_mask)
@@ -392,15 +391,12 @@ def train_temporal(dataset: TemporalDataset, cfg: TrainConfig) -> TrainResult:
         epoch_loss = 0.0
         for i in train_idx:
             x, y, _times = windows[i]
-            with Tape() as tape:
+
+            def build_loss() -> Variable:
                 pred = model.forward(dataset.graph, x, embeddings[i], train=True, rng=stream)
-                loss = loss_fn(pred, y)
-            if not np.isfinite(float(loss.value)):
-                raise TrainingDiverged(f"non-finite temporal loss at epoch {epoch}")
-            backward(tape, loss)
-            optimizer.step()
-            optimizer.zero_grad()
-            epoch_loss += float(loss.value)
+                return loss_fn(pred, y)
+
+            epoch_loss += train_step(optimizer, build_loss, f"epoch {epoch}, window {i}")
         history.append({"epoch": epoch, "train_loss": epoch_loss / len(train_idx)})
     metrics = evaluate_temporal(model, dataset, n_frequencies=cfg.n_frequencies)
     return TrainResult(model, metrics, metrics, history, cfg.epochs - 1)
@@ -492,11 +488,7 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
     stream = SeedStream(seed)
     layer_params = [AdrLayerParams.init(channels, stream.child(), name=f"layers.{l}")
                     for l in range(layers)]
-    groups = {"advection": [], "diffusion": [], "reaction": []}
-    for lp in layer_params:
-        groups["advection"] += lp.advection.parameters()
-        groups["diffusion"] += lp.diffusion.parameters()
-        groups["reaction"] += lp.reaction.parameters()
+    groups = param_groups([part for lp in layer_params for part in lp.parts()])
     optimizer = AdamW(groups, {k: lr for k in groups}, {k: 0.0 for k in groups})
     source = np.tile(task.source_features, (1, channels))
     channel_mean = np.full((channels, 1), 1.0 / channels)
@@ -508,19 +500,17 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
             u = adr_layer(g, u, u0, lp, h, cg_iterations=cg_iterations, terms=terms)
         return ad.matmul(u, Variable(channel_mean))
 
+    last = {}  # the step's forward output, whose mass the trace records
+
+    def build_loss() -> Variable:
+        last["out"] = forward()
+        return ad.mse(last["out"], task.target_features)
+
     trace = []
     for step in range(epochs):
-        with Tape() as tape:
-            out = forward()
-            loss = ad.mse(out, task.target_features)
-        if not np.isfinite(float(loss.value)):
-            raise TrainingDiverged(f"non-finite transport loss at step {step}")
+        mse = train_step(optimizer, build_loss, f"step {step}")
         if step % log_every == 0:
-            trace.append({"step": step, "mse": float(loss.value),
-                          "mass": float(out.value.sum())})
-        backward(tape, loss)
-        optimizer.step()
-        optimizer.zero_grad()
+            trace.append({"step": step, "mse": mse, "mass": float(last["out"].value.sum())})
     final = forward()
     final_mse = float(np.mean((final.value - task.target_features) ** 2))
     trace.append({"step": epochs, "mse": final_mse, "mass": float(final.value.sum())})

@@ -13,8 +13,11 @@ import pytest
 
 import adrgnn.autodiff as ad
 from adrgnn.autodiff import Tape, Variable
-from adrgnn.data import make_planted_partition
-from adrgnn.training import TrainConfig, train_node_classification
+from adrgnn.data import TemporalDataset, make_planted_partition, make_transport_task
+from adrgnn.graph import erdos_renyi
+from adrgnn.runtime import philox
+from adrgnn.training import (TrainConfig, train_node_classification, train_temporal,
+                             transport_fit)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -46,11 +49,25 @@ def test_traced_training_reaches_every_wrapped_stage(tracing):
     bundle = make_planted_partition(30, 2, 0.3, 0.05, feat_dim=5, noise=0.5, seed=0,
                                     k_splits=1)
     cfg = TrainConfig(epochs=1, patience=5, layers=2, hidden=8)
+    series = philox(4).standard_normal((12, 5, 1))
+    temporal = TemporalDataset(graph=erdos_renyi(5, 0.8, seed=3), series=series,
+                               timestamps=np.arange(12, dtype=np.float64))
+    task = make_transport_task(5, 0.55, 2, seed=2)
     tracer = tracing.Tracer()
     originals = [getattr(tracing._resolve(path), attr) for path, attr, _ in tracing.SPANS]
     tracer.install()
     try:
         train_node_classification(bundle, cfg)
+        # the other two training loops share the traced train step
+        for run in (lambda: train_temporal(temporal, TrainConfig(epochs=1, layers=1,
+                                                                 hidden=4, loss="mse")),
+                    lambda: transport_fit(task, "ADR", layers=1, epochs=3, channels=2)):
+            before = tracer.snapshot()
+            run()
+            ran = tracer.since(before)
+            for name in ("models.forward_train", "autodiff.backward",
+                         "training.adamw_step", "training.loss"):
+                assert ran.get(name, [0])[0] > 0, f"span {name} never ran"
     finally:
         tracer.uninstall()
     assert [getattr(tracing._resolve(path), attr)

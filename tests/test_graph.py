@@ -89,6 +89,20 @@ class TestLaplacian:
         out = laplacian_apply(g, np.array([[1.0], [2.0], [5.0]]))
         assert out[2, 0] == 0.0
 
+    def test_float32_input_applied_in_float32(self):
+        g = erdos_renyi(20, 0.3, seed=1)
+        u = philox(5).standard_normal((20, 3))
+        for x in (u, u[:, 0]):
+            out = laplacian_apply(g, x.astype(np.float32))
+            assert out.dtype == np.float32
+            np.testing.assert_allclose(out, laplacian_apply(g, x), rtol=1e-5, atol=1e-5)
+
+    def test_float64_uses_the_stored_operands(self):
+        g = erdos_renyi(20, 0.3, seed=1)
+        u = philox(6).standard_normal((20, 3))
+        np.testing.assert_array_equal(laplacian_apply(g, u),
+                                      g._deg_mask[:, None] * u - g._adj_norm @ u)
+
     def test_shape_mismatch(self, path2):
         with pytest.raises(ValueError, match="rows"):
             laplacian_apply(path2, np.zeros((3, 1)))

@@ -8,11 +8,27 @@ from adrgnn.autodiff import Variable
 from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline,
                            broadcast_time_embedding, build_model, count_parameters,
-                           forward_gcn_baseline, forward_static, forward_temporal,
                            load_checkpoint, save_checkpoint, static_parameter_count,
                            time_embedding)
 from adrgnn.operators import advect, diffuse, edge_velocities, react
 from adrgnn.runtime import SeedStream, philox
+from adrgnn.training import GROUPS
+
+
+def small_model(kind: str, use_batchnorm: bool = False):
+    """A small model of each kind, with inputs for a 7-node graph."""
+    if kind == "static":
+        model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=2, h=0.5,
+                                  use_batchnorm=use_batchnorm, seed=1)
+        return model, (philox(2).standard_normal((7, 3)),)
+    if kind == "temporal":
+        model = AdrGnnTemporal.init(c_in=1, c_out=1, hidden=4, layers=2, h=0.5, tau_in=2,
+                                    tau_out=1, n_frequencies=2,
+                                    use_batchnorm=use_batchnorm, seed=3)
+        t_emb = broadcast_time_embedding(time_embedding([0.0, 1.0], 2), 7)
+        return model, (philox(2).standard_normal((7, 2)), t_emb)
+    return GcnBaseline.init(c_in=3, c_out=2, hidden=4, layers=2, seed=1), (
+        philox(2).standard_normal((7, 3)),)
 
 
 def relabel(graph, perm):
@@ -213,7 +229,8 @@ class TestGcnBaseline:
         model = GcnBaseline.init(c_in=3, c_out=3, hidden=3, layers=1, seed=0)
         model.convs[0].w.value[...] = np.eye(3)
         model.convs[0].b.value[...] = 0.0
-        model.head = None
+        model.head.w.value[...] = np.eye(3)  # identity head: logits = conv output
+        model.head.b.value[...] = 0.0
         x = np.array([[-1.0, 0.5, 2.0]])
         out = model.forward(g, x).value
         np.testing.assert_allclose(out, [[0.0, 0.5, 2.0]])
@@ -245,19 +262,71 @@ class TestGcnBaseline:
         assert gcn_rel < adr_rel
 
 
+class TestParameterRegistry:
+    @staticmethod
+    def group_of(name: str) -> str:
+        for tag, group in ((".adv.", "advection"), (".diff.", "diffusion"),
+                           (".react.", "reaction")):
+            if tag in name:
+                return group
+        return "embedding"
+
+    @pytest.mark.parametrize("kind, use_batchnorm", [
+        ("static", False), ("static", True), ("temporal", False), ("gcn", False)])
+    def test_groups_partition_the_parameters(self, kind, use_batchnorm):
+        model, _inputs = small_model(kind, use_batchnorm)
+        groups = model.param_groups()
+        assert tuple(groups) == (GROUPS if kind != "gcn" else ("embedding",))
+        grouped = [p for params in groups.values() for p in params]
+        named = model.named_parameters()
+        assert len(grouped) == len(named) == len({id(p) for p in grouped})
+        assert {id(p) for p in grouped} == {id(p) for p in named.values()}
+        for group, params in groups.items():
+            assert all(self.group_of(p.name) == group for p in params)
+        assert len(model.extra_state()) == (4 if use_batchnorm else 0)
+
+    def test_static_parameter_order(self):
+        model, _inputs = small_model("static", use_batchnorm=True)
+        layer0 = ["adv.a1.w", "adv.a1.b", "adv.a2.w", "adv.a2.b", "adv.a3.w", "adv.a4.w",
+                  "diff.theta", "react.r1.w", "react.r1.b", "react.r2.w", "react.r2.b",
+                  "react.r3.w", "react.r3.b", "react.bn_gamma", "react.bn_beta"]
+        names = list(model.named_parameters())
+        assert names[:4] == ["g_in.w", "g_in.b", "g_out.w", "g_out.b"]
+        assert names[4:] == ([f"layers.0.{n}" for n in layer0]
+                             + [f"layers.1.{n}" for n in layer0])
+        assert list(model.extra_state()) == [
+            f"layers.{l}.react.bn.{stat}" for l in (0, 1)
+            for stat in ("running_mean", "running_var")]
+
+
 class TestCheckpoint:
-    def test_round_trip_preserves_outputs(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["static", "temporal", "gcn"])
+    def test_round_trip_preserves_outputs(self, kind, tmp_path):
         g = erdos_renyi(7, 0.5, seed=0)
-        model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=2, h=0.5,
-                                  use_batchnorm=True, seed=1)
-        x = philox(2).standard_normal((7, 3))
-        model.forward(g, x, train=True, rng=SeedStream(0))  # populate BN stats
-        before = model.forward(g, x).value
+        model, inputs = small_model(kind, use_batchnorm=True)
+        model.forward(g, *inputs, train=True, rng=SeedStream(0))  # populate BN stats
+        before = model.forward(g, *inputs).value
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(path, model)
         restored = load_checkpoint(path)
-        after = restored.forward(g, x).value
+        after = restored.forward(g, *inputs).value
         np.testing.assert_array_equal(before, after)
+        state = restored.extra_state()
+        assert len(state) == (4 if kind != "gcn" else 0)
+        for name, arr in model.extra_state().items():
+            np.testing.assert_array_equal(arr, state[name])
+
+    def test_state_shape_validation_on_load(self, tmp_path):
+        model, _inputs = small_model("static", use_batchnorm=True)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, model)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["state:layers.0.react.bn.running_var"] = np.ones(5)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match="shape"):
+            load_checkpoint(path)
 
     def test_temporal_round_trip(self, tmp_path):
         model = AdrGnnTemporal.init(c_in=1, c_out=1, hidden=4, layers=1, h=0.5,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import adrgnn.autodiff as ad
 from adrgnn.autodiff import Tape, Variable, backward
-from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi, laplacian_dense
+from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.operators import (AdrLayerParams, AdvectionParams, DiffusionParams,
                               EdgeVelocities, ReactionParams, adr_layer, advect,
                               advection_matrix, diffuse, divergence,
@@ -247,16 +247,6 @@ class TestDiffuse:
             out = diffuse(g, u, params, h=float(gen.uniform(0.05, 1.0)),
                           cg_iterations=4 * n, cg_tol=1e-13)
             assert dirichlet_energy(g, out.value) <= dirichlet_energy(g, u.value) + 1e-9
-
-    def test_explicit_scheme_matches_formula(self):
-        g = erdos_renyi(7, 0.5, seed=90)
-        gen = philox(91)
-        u = gen.standard_normal((7, 2))
-        theta = gen.uniform(0.1, 0.9, 2)
-        params = DiffusionParams(Variable(theta))
-        out = diffuse(g, Variable(u), params, h=0.1, explicit=True)
-        expected = u - 0.1 * (laplacian_dense(g) @ u) * theta[None, :]
-        np.testing.assert_allclose(out.value, expected, atol=1e-12)
 
     def test_commutes_with_automorphism(self):
         # 4-cycle rotation is a graph automorphism

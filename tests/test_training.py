@@ -11,11 +11,12 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.data import (DatasetBundle, TemporalDataset, generate_splits,
                          make_planted_partition, make_transport_task)
 from adrgnn.graph import build_graph, erdos_renyi
-from adrgnn.training import (GROUPS, AdamW, Metrics, TrainConfig, TrainingDiverged,
+from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, TrainingDiverged,
                              ablation_study, aggregate_metrics, classification_metrics,
                              depth_energy_study, evaluate, grid_search,
                              regression_metrics, sample_config,
-                             train_node_classification, train_temporal, transport_fit)
+                             train_node_classification, train_step, train_temporal,
+                             transport_fit)
 from adrgnn.runtime import philox
 
 
@@ -129,10 +130,17 @@ class TestConfig:
         with caplog.at_level("WARNING"):
             problems = cfg.validate()
         assert problems and "layers" in problems[0]
+        with caplog.at_level("WARNING"):
+            problems = flat_cfg(loss="mea").validate()
+        assert problems == [f"loss='mea' not in {LOSSES}"]
+        for loss in LOSSES:
+            assert flat_cfg(loss=loss).validate() == []
 
     def test_strict_mode_raises(self):
         with pytest.raises(ValueError, match="outside allowed"):
             flat_cfg(h=2.0).validate(strict=True)
+        with pytest.raises(ValueError, match="loss='mea'"):
+            flat_cfg(loss="mea").validate(strict=True)
 
 
 class TestNodeClassification:
@@ -199,6 +207,44 @@ class TestNodeClassification:
         first = evaluate(result.model, bundle, 0, "test")
         second = evaluate(result.model, bundle, 0, "test")
         assert first.to_dict() == second.to_dict()
+
+
+class TestTrainStep:
+    def test_steps_and_clears_the_gradients(self):
+        p = Variable(np.array([1.0, -2.0]), requires_grad=True, name="p")
+        opt = AdamW({"g": [p]}, {"g": 0.1}, {"g": 0.0})
+        value = train_step(opt, lambda: ad.total_sum(ad.hadamard(p, p)), "here")
+        assert value == 5.0
+        np.testing.assert_allclose(p.value, [0.9, -1.9])
+        np.testing.assert_array_equal(p.grad, 0.0)
+
+    def test_failures_name_where(self):
+        p = Variable(np.array([1.0]), requires_grad=True, name="p")
+        opt = AdamW({"g": [p]}, {"g": 0.1}, {"g": 0.0})
+        with pytest.raises(TrainingDiverged, match=r"^non-finite loss at here$"):
+            train_step(opt, lambda: ad.total_sum(ad.scale_by_scalar(p, np.inf)), "here")
+
+        def overflow():
+            raise FloatingPointError("boom")
+
+        with pytest.raises(TrainingDiverged, match=r"^here: boom$"):
+            train_step(opt, overflow, "here")
+
+    def test_temporal_divergence_names_epoch_and_window(self):
+        g = erdos_renyi(5, 0.8, seed=3)
+        series = philox(4).standard_normal((30, 5, 1)) * 1e300
+        ds = TemporalDataset(graph=g, series=series,
+                             timestamps=np.arange(30, dtype=np.float64))
+        with pytest.raises(TrainingDiverged, match=r"^epoch 0, window 0: cg_solve"):
+            train_temporal(ds, flat_cfg(epochs=2, layers=1, hidden=4))
+
+    @pytest.mark.parametrize("terms, message", [("A", r"^non-finite loss at step 0$"),
+                                                ("D", r"^step 0: cg_solve")])
+    def test_transport_divergence_names_the_step(self, terms, message):
+        task = make_transport_task(5, 0.55, 2, seed=2)
+        task = replace(task, source_features=task.source_features * 1e300)
+        with pytest.raises(TrainingDiverged, match=message):
+            transport_fit(task, terms, epochs=3, channels=2)
 
 
 class TestTemporal:
