@@ -7,9 +7,10 @@ active tape the primitives just compute values, which is the cheap
 evaluation path.
 
 The primitive set covers dense linear algebra, elementwise nonlinearities,
-edge-indexed gather/scatter/softmax ops keyed to a graph's directed-edge
-order, masked losses, and a conjugate-gradient linear solve whose backward
-rule uses implicit differentiation instead of unrolling the iterations.
+products with constant linear operators (edge gathers and scatters among
+them), a segment softmax keyed to a graph's directed-edge order, masked
+losses, and a conjugate-gradient linear solve whose backward rule uses
+implicit differentiation instead of unrolling the iterations.
 """
 
 from __future__ import annotations
@@ -134,24 +135,7 @@ def backward(tape: Tape, loss: Variable) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scatter / segment helpers (shared by primitives)
-
-def _scatter_add_rows(values: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """Sum rows of `values` into an (n, c) array at the given row indices."""
-    if values.ndim == 1:
-        return np.bincount(index, weights=values, minlength=n).astype(values.dtype)
-    c = values.shape[1]
-    flat_index = (index[:, None] * c + np.arange(c)[None, :]).ravel()
-    out = np.bincount(flat_index, weights=values.ravel(), minlength=n * c)
-    return out.reshape(n, c).astype(values.dtype)
-
-
-def _sorted_segment_boundaries(seg: np.ndarray, n: int) -> np.ndarray:
-    if len(seg) and np.any(seg[1:] < seg[:-1]):
-        raise ValueError("segment ids must be sorted non-decreasing")
-    starts = np.searchsorted(seg, np.arange(n + 1))
-    return starts
-
+# segment helpers (shared by primitives)
 
 def segment_max_plan(indptr: np.ndarray) -> tuple:
     """Pairwise tree-reduction plan for per-segment maxima over contiguous
@@ -322,26 +306,6 @@ def dropout(x, p: float, train: bool, rng) -> Variable:
     return _emit(x.value * mask, (x,), bwd)
 
 
-def row_gather(x, index, transpose=None) -> Variable:
-    """Rows ``x[index]``. The backward rule sums gradient rows back onto
-    the rows they came from: by ``transpose @ g`` when the caller holds the
-    gather's transpose as a constant sparse matrix, by ``g[transpose]``
-    when ``index`` is a permutation and ``transpose`` its inverse index,
-    and by a scatter-add otherwise."""
-    x = _as_variable(x)
-    index = np.asarray(index, dtype=np.int64)
-    n = x.value.shape[0]
-
-    def bwd(g):
-        if transpose is None:
-            return (_scatter_add_rows(g, index, n),)
-        if isinstance(transpose, np.ndarray):
-            return (np.take(g, transpose, axis=0),)
-        return (transpose @ g,)
-
-    return _emit(np.take(x.value, index, axis=0), (x,), bwd)
-
-
 def slice_columns(x, start: int, stop: int) -> Variable:
     x = _as_variable(x)
     shape = x.value.shape
@@ -365,36 +329,19 @@ def concat_columns(parts: Sequence) -> Variable:
     return _emit(np.concatenate([p.value for p in parts], axis=1), parts, bwd)
 
 
-def segment_sum(values, target_index, n: int) -> Variable:
-    """Scatter-add edge rows onto n node rows (targets need not be sorted)."""
-    values = _as_variable(values)
-    target_index = np.asarray(target_index, dtype=np.int64)
-
-    def bwd(g):
-        return (g[target_index],)
-
-    return _emit(_scatter_add_rows(values.value, target_index, n), (values,), bwd)
-
-
-def segment_softmax(values, source_index, n: int, scatter=None, max_plan=None) -> Variable:
+def segment_softmax(values, source_index, scatter, max_plan) -> Variable:
     """Channel-wise softmax over each source node's contiguous edge block.
 
-    Requires sorted segment ids (the graph's directed-edge order). Callers
-    holding a graph pass its cached ``scatter`` (the sparse node-by-edge
-    sum matrix) and ``max_plan`` (:meth:`Graph.segment_max_plan`) to skip
-    the per-call index work; without them the plan is built from the
-    segment boundaries and the sums are scatter-adds. The overflow shift
-    is each segment's max, taken by a pairwise tree reduction, which is
-    exact. Each nonempty segment's outputs sum to 1 per channel.
+    ``source_index`` holds each row's segment id, sorted non-decreasing (the
+    graph's directed-edge order); ``scatter`` is the constant node-by-edge
+    sum matrix and ``max_plan`` the tree-reduction plan over the same
+    blocks (:attr:`Graph.scatter_src`, :attr:`Graph.max_plan`). The
+    overflow shift is each segment's max, taken by a pairwise tree
+    reduction, which is exact. Each nonempty segment's outputs sum to 1
+    per channel.
     """
     values = _as_variable(values)
-    seg = np.asarray(source_index, dtype=np.int64)
-    if max_plan is None:
-        max_plan = segment_max_plan(_sorted_segment_boundaries(seg, n))
-    if scatter is not None:
-        expand_sum = lambda x: np.take(scatter @ x, seg, axis=0)
-    else:
-        expand_sum = lambda x: np.take(_scatter_add_rows(x, seg, n), seg, axis=0)
+    expand_sum = lambda x: np.take(scatter @ x, source_index, axis=0)
     e = np.exp(values.value - _segment_max_rows(values.value, max_plan))
     y = e / expand_sum(e)
 
@@ -404,15 +351,25 @@ def segment_softmax(values, source_index, n: int, scatter=None, max_plan=None) -
     return _emit(y, (values,), bwd)
 
 
+def _apply_operator(op, x: np.ndarray) -> np.ndarray:
+    """``op @ x``; an int ndarray ``op`` stands for the 0/1 selector whose
+    row i picks row ``op[i]`` of ``x``, and is applied as that row gather."""
+    if isinstance(op, np.ndarray):
+        return np.take(x, op, axis=0)
+    return op @ x
+
+
 def fixed_sparse_matmul(matrix, matrix_t, x) -> Variable:
-    """Multiply by a constant sparse matrix (gather/scatter selectors, graph
-    operators); the backward rule applies the supplied transpose."""
+    """Multiply by a constant linear operator (edge gathers and scatters,
+    graph operators, sparse features); the backward rule applies the
+    supplied transpose. Either operand may be an int row index, the compact
+    form of a 0/1 row selector."""
     x = _as_variable(x)
 
     def bwd(g):
-        return (matrix_t @ g,)
+        return (_apply_operator(matrix_t, g),)
 
-    return _emit(matrix @ x.value, (x,), bwd)
+    return _emit(_apply_operator(matrix, x.value), (x,), bwd)
 
 
 def total_sum(x) -> Variable:

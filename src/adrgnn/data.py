@@ -382,30 +382,15 @@ def normalize_series(dataset: TemporalDataset, scheme: str = "per_node"):
 # ---------------------------------------------------------------------------
 # synthetic tasks
 
-def _components(graph: Graph) -> np.ndarray:
-    """Connected-component label per node (iterative BFS)."""
-    labels = np.full(graph.n_nodes, -1, dtype=np.int64)
-    current = 0
-    for start in range(graph.n_nodes):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            node = stack.pop()
-            for nb in graph.neighbors(node):
-                if labels[nb] < 0:
-                    labels[nb] = current
-                    stack.append(int(nb))
-        current += 1
-    return labels
-
-
 def make_transport_task(n: int, p: float, n_sources: int, seed: int,
                         max_retries: int = 20) -> TransportTask:
     """Unit mass spread over random source nodes, to be gathered at a random
     destination; regenerates (seed+1, ...) until sources and destination
     share a component."""
+    # imported on use: scipy.sparse.csgraph adds about 11 MB of resident
+    # memory to a process, and only transport tasks need it
+    from scipy.sparse.csgraph import connected_components
+
     if n_sources >= n:
         raise ValueError(f"n_sources={n_sources} must be < n={n}")
     for attempt in range(max_retries):
@@ -415,7 +400,7 @@ def make_transport_task(n: int, p: float, n_sources: int, seed: int,
         nodes = rng.permutation(n)
         sources = np.sort(nodes[:n_sources])
         destination = int(nodes[n_sources])
-        comp = _components(graph)
+        _count, comp = connected_components(graph.adjacency(), directed=False)
         if len(set(comp[sources]) | {comp[destination]}) == 1:
             source_features = np.zeros((n, 1))
             source_features[sources, 0] = 1.0 / n_sources

@@ -79,13 +79,19 @@ def primitive_checks(seed: int = 0) -> list[dict]:
         "tanh": (lambda: _weighted_sum(ad.tanh(x), philox(seed + 9)), [x]),
         "hardtanh": (lambda: _weighted_sum(ad.hardtanh(x, 0.0, 1.0), philox(seed + 10)), [x]),
         "dropout": (lambda: _weighted_sum(ad.dropout(x, 0.4, True, 123), philox(seed + 11)), [x]),
-        "row_gather": (lambda: _weighted_sum(ad.row_gather(x, g.edge_src), philox(seed + 12)), [x]),
+        "row_gather": (lambda: _weighted_sum(
+            ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, x), philox(seed + 12)), [x]),
         "slice_columns": (lambda: _weighted_sum(ad.slice_columns(x, 1, 3), philox(seed + 13)), [x]),
         "concat_columns": (lambda: _weighted_sum(ad.concat_columns([x, y]), philox(seed + 14)), [x, y]),
         "segment_sum": (lambda: _weighted_sum(
-            ad.segment_sum(edge_vals, g.edge_dst, n), philox(seed + 15)), [edge_vals]),
+            ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst, edge_vals), philox(seed + 15)),
+            [edge_vals]),
+        "rev_edge_gather": (lambda: _weighted_sum(
+            ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, edge_vals), philox(seed + 19)),
+            [edge_vals]),
         "segment_softmax": (lambda: _weighted_sum(
-            ad.segment_softmax(edge_vals, g.edge_src, n), philox(seed + 16)), [edge_vals]),
+            ad.segment_softmax(edge_vals, g.edge_src, g.scatter_src, g.max_plan),
+            philox(seed + 16)), [edge_vals]),
         "total_sum": (lambda: ad.total_sum(x), [x]),
         "batch_norm_train": (lambda: _weighted_sum(
             ad.batch_norm(x, gamma, beta, bn_state, train=True), philox(seed + 17)),

@@ -8,6 +8,7 @@ matters downstream, where learned per-edge transport weights live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,10 +25,10 @@ class Graph:
     so that the outbound edges of node i occupy the contiguous slice
     ``out_indptr[i]:out_indptr[i+1]``. ``rev_edge`` maps each directed
     edge to its reverse orientation; it is an involution, so gathering by
-    it is its own transpose. Constant operators built from the edge list
-    (the sparse selectors and the segment-max plan over the outbound
-    blocks) are built on first use and cached. Instances are immutable
-    after construction and safe to share across threads.
+    it is its own transpose. The constant operators built from the edge
+    list (``scatter_src``, ``scatter_dst``, ``max_plan``,
+    ``gcn_adjacency``) are built on first use and cached. Instances are
+    immutable after construction and safe to share across threads.
     """
 
     def __init__(self, n_nodes: int, edge_src: np.ndarray, edge_dst: np.ndarray):
@@ -63,28 +64,35 @@ class Graph:
         self._adj = sp.csr_matrix(
             (np.ones(self.n_edges), (edge_dst, edge_src)), shape=(self.n_nodes, self.n_nodes)
         )
-        self._selectors: dict[str, tuple] = {}
-        self._max_plan: tuple | None = None
 
-    def edge_selector(self, kind: str):
-        """Cached (matrix, transpose) pair of constant sparse selectors:
-        'src'/'dst' gather node rows onto edges (transpose scatter-adds
-        edges back onto nodes)."""
-        if kind not in self._selectors:
-            if kind not in ("src", "dst"):
-                raise ValueError(f"unknown selector {kind!r}")
-            m, n = self.n_edges, self.n_nodes
-            index = self.edge_src if kind == "src" else self.edge_dst
-            mat = sp.csr_matrix((np.ones(m), (np.arange(m), index)), shape=(m, n))
-            self._selectors[kind] = (mat, mat.T.tocsr())
-        return self._selectors[kind]
+    def _scatter(self, index: np.ndarray) -> sp.csr_matrix:
+        m = self.n_edges
+        return sp.csr_matrix((np.ones(m), (index, np.arange(m))), shape=(self.n_nodes, m))
 
-    def segment_max_plan(self) -> tuple:
-        """Cached tree-reduction plan for per-node maxima over the outbound
-        edge blocks (see :func:`adrgnn.autodiff.segment_max_plan`)."""
-        if self._max_plan is None:
-            self._max_plan = segment_max_plan(self.out_indptr)
-        return self._max_plan
+    @cached_property
+    def scatter_src(self) -> sp.csr_matrix:
+        """``n_nodes x n_edges`` 0/1 matrix summing edge rows onto their
+        source nodes: the transpose of the row gather by ``edge_src``."""
+        return self._scatter(self.edge_src)
+
+    @cached_property
+    def scatter_dst(self) -> sp.csr_matrix:
+        """``n_nodes x n_edges`` 0/1 matrix summing edge rows onto their
+        target nodes: the transpose of the row gather by ``edge_dst``."""
+        return self._scatter(self.edge_dst)
+
+    @cached_property
+    def max_plan(self) -> tuple:
+        """Tree-reduction plan for per-node maxima over the outbound edge
+        blocks (see :func:`adrgnn.autodiff.segment_max_plan`)."""
+        return segment_max_plan(self.out_indptr)
+
+    @cached_property
+    def gcn_adjacency(self) -> sp.csr_matrix:
+        """Self-loop renormalized adjacency D^{-1/2}(A + I)D^{-1/2}; symmetric."""
+        a = self._adj + sp.eye(self.n_nodes, format="csr")
+        d_inv_sqrt = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
+        return d_inv_sqrt @ a @ d_inv_sqrt
 
     def out_edges(self, i: int) -> slice:
         return slice(self.out_indptr[i], self.out_indptr[i + 1])

@@ -316,15 +316,6 @@ class AdrGnnTemporal(ParameterRegistry):
 # ---------------------------------------------------------------------------
 # graph-convolution baseline
 
-def gcn_norm_adjacency(g: Graph) -> sp.csr_matrix:
-    """Self-loop renormalized adjacency D^{-1/2}(A + I)D^{-1/2}."""
-    n = g.n_nodes
-    a = g.adjacency() + sp.eye(n, format="csr")
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
-    return sp.diags(d_inv_sqrt) @ a @ sp.diags(d_inv_sqrt)
-
-
 class GcnBaseline(ParameterRegistry):
     """Plain convolution stack: ReLU(A_hat (U W)) per layer, linear head."""
 
@@ -349,7 +340,7 @@ class GcnBaseline(ParameterRegistry):
                 rng: Optional[SeedStream] = None, diagnostics: bool = False):
         p = self.config.get("dropout", 0.0)
         rng = _dropout_rng(rng, train, p > 0)
-        a_hat = gcn_norm_adjacency(g)  # symmetric: its own transpose
+        a_hat = g.gcn_adjacency  # symmetric: its own transpose
         u = ad._as_variable(x)
         stages = [u]
         for conv in self.convs:
@@ -392,24 +383,16 @@ def load_checkpoint(path):
     return model
 
 
+MODEL_KINDS = {"static": AdrGnnStatic, "temporal": AdrGnnTemporal, "gcn": GcnBaseline}
+
+
 def build_model(config: dict):
+    """A freshly initialized model of ``config["kind"]``; the other config
+    keys are the keyword arguments of that class's ``init``."""
     kind = config.get("kind")
-    common = dict(c_in=config["c_in"], c_out=config["c_out"], hidden=config["hidden"],
-                  layers=config["layers"])
-    if kind == "static":
-        return AdrGnnStatic.init(
-            **common, h=config["h"], dropout_io=config["dropout_io"],
-            dropout_hidden=config["dropout_hidden"], use_batchnorm=config["use_batchnorm"],
-            cg_iterations=config["cg_iterations"])
-    if kind == "temporal":
-        return AdrGnnTemporal.init(
-            **common, h=config["h"], tau_in=config["tau_in"], tau_out=config["tau_out"],
-            n_frequencies=config["n_frequencies"], dropout_io=config["dropout_io"],
-            dropout_hidden=config["dropout_hidden"], use_batchnorm=config["use_batchnorm"],
-            cg_iterations=config["cg_iterations"])
-    if kind == "gcn":
-        return GcnBaseline.init(**common, dropout=config.get("dropout", 0.0))
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return MODEL_KINDS[kind].init(**{k: v for k, v in config.items() if k != "kind"})
 
 
 def count_parameters(model) -> int:

@@ -169,15 +169,13 @@ def edge_velocities(g: Graph, u, params: AdvectionParams,
     u = ad._as_variable(u)
     a1_u = params.a1(u)
     a2_u = params.a2(u)
-    scatter_src = g.edge_selector("src")[1]
-    edge_pre = ad.add(ad.row_gather(a1_u, g.edge_src, scatter_src),
-                      ad.row_gather(a2_u, g.edge_dst, g.edge_selector("dst")[1]))
+    edge_pre = ad.add(ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, a1_u),
+                      ad.fixed_sparse_matmul(g.edge_dst, g.scatter_dst, a2_u))
     z = params.a3(ad.relu(edge_pre))
-    z_rev = ad.row_gather(z, g.rev_edge, g.rev_edge)
+    z_rev = ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, z)
     asym = ad.relu(ad.subtract(z, z_rev))
     pre = params.a4(asym)
-    v = ad.segment_softmax(pre, g.edge_src, g.n_nodes, scatter=scatter_src,
-                           max_plan=g.segment_max_plan())
+    v = ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan)
     if return_prenorm:
         asym_rev = ad.relu(ad.subtract(z_rev, z))
         return EdgeVelocities(v), asym, asym_rev
@@ -191,10 +189,8 @@ def divergence(g: Graph, v: EdgeVelocities, u) -> Variable:
     if v.values.value.shape[0] != g.n_edges:
         raise ValueError(
             f"divergence: {v.values.value.shape[0]} edge rows for graph with {g.n_edges} edges")
-    u_src = ad.row_gather(u, g.edge_src, g.edge_selector("src")[1])
-    gather_dst, scatter_dst = g.edge_selector("dst")
-    inbound = ad.fixed_sparse_matmul(scatter_dst, gather_dst,
-                                     ad.hadamard(v.values, u_src))
+    u_src = ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, u)
+    inbound = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst, ad.hadamard(v.values, u_src))
     outflow = ad.hadamard(u, (~g.isolated).astype(float)[:, None])
     return ad.subtract(inbound, outflow)
 

@@ -369,6 +369,7 @@ def train_temporal(dataset: TemporalDataset, cfg: TrainConfig) -> TrainResult:
     """Incremental-mode training: one gradient step per window, chronological
     order, windows built over the training prefix; evaluation on the final
     10% horizon. Time embeddings are precomputed once per dataset."""
+    cfg.validate()
     windows = make_windows(dataset)
     train_idx, test_idx = _chronological_split(dataset, windows)
     if not train_idx or not test_idx:

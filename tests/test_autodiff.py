@@ -32,13 +32,11 @@ class TestForwardValues:
         assert x.grad[0] == 0.0
 
     def test_segment_softmax_uniform(self):
-        values = Variable(np.zeros((3, 1)))
-        out = ad.segment_softmax(values, np.array([0, 0, 0]), 1)
-        np.testing.assert_allclose(out.value, 1.0 / 3.0)
-
-    def test_segment_softmax_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="sorted"):
-            ad.segment_softmax(Variable(np.zeros((3, 1))), np.array([1, 0, 1]), 2)
+        g = build_graph([(0, 1), (0, 2), (0, 3)], 4)
+        out = ad.segment_softmax(Variable(np.zeros((g.n_edges, 2))), g.edge_src,
+                                 g.scatter_src, g.max_plan)
+        want = 1.0 / g.degree[g.edge_src]
+        np.testing.assert_allclose(out.value, np.repeat(want[:, None], 2, axis=1))
 
     def test_hardtanh_clamps(self):
         x = Variable(np.array([-0.5, 0.3, 1.7]))
@@ -189,9 +187,15 @@ class TestGradientsAgainstFiniteDifferences:
         gen = philox(6)
         x = Variable(gen.standard_normal((6, 2)), requires_grad=True)
         e = Variable(gen.standard_normal((g.n_edges, 2)), requires_grad=True)
-        check_grads(lambda: weighted_sum(ad.row_gather(x, g.edge_src), 4), [x], self.TOL)
-        check_grads(lambda: weighted_sum(ad.segment_sum(e, g.edge_dst, 6), 5), [e], self.TOL)
-        check_grads(lambda: weighted_sum(ad.segment_softmax(e, g.edge_src, 6), 6), [e], self.TOL)
+        for index, scatter in ((g.edge_src, g.scatter_src), (g.edge_dst, g.scatter_dst)):
+            check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(index, scatter, x), 4),
+                        [x], self.TOL)
+            check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(scatter, index, e), 5),
+                        [e], self.TOL)
+        check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, e), 7),
+                    [e], self.TOL)
+        check_grads(lambda: weighted_sum(
+            ad.segment_softmax(e, g.edge_src, g.scatter_src, g.max_plan), 6), [e], self.TOL)
 
     def test_concat_slice(self):
         gen = philox(7)
@@ -350,20 +354,13 @@ class TestSegmentSoftmaxExact:
         values[::5, 1] = 700.0  # ties, and exp overflow without the shift
         want_max, want_soft = _reference_segment_softmax(values, g.out_indptr)
 
-        for plan in (g.segment_max_plan(), ad.segment_max_plan(g.out_indptr)):
-            got_max = ad._segment_max_rows(values, plan)
-            assert np.array_equal(got_max, want_max)
-
-        plain = ad.segment_softmax(Variable(values), g.edge_src, g.n_nodes)
-        cached = ad.segment_softmax(Variable(values), g.edge_src, g.n_nodes,
-                                    scatter=g.edge_selector("src")[1],
-                                    max_plan=g.segment_max_plan())
-        assert np.array_equal(plain.value, want_soft)
-        assert np.array_equal(cached.value, want_soft)
+        assert np.array_equal(ad._segment_max_rows(values, g.max_plan), want_max)
+        soft = ad.segment_softmax(Variable(values), g.edge_src, g.scatter_src, g.max_plan)
+        assert np.array_equal(soft.value, want_soft)
 
     def test_plan_covers_every_row_once_per_block(self):
         g = _segment_graphs()["star_hub_1200"]
-        head, steps = g.segment_max_plan()
+        head, steps = g.max_plan
         np.testing.assert_array_equal(head, g.out_indptr[:-1][g.edge_src])
         assert len(steps) == int(np.ceil(np.log2(g.degree.max())))
         # every row but its block's head is read as a right operand exactly once

@@ -102,6 +102,23 @@ class TestTrainCommand:
                      "--config", str(first / "manifest.json"), "--splits", "1"]) == 0
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
+    def test_worker_processes_match_in_process_splits(self, tmp_path):
+        bundle = make_planted_partition(24, 2, 0.35, 0.05, feat_dim=4, noise=0.6,
+                                        seed=3, k_splits=3)
+        save_bundle(bundle, tmp_path / "toy3")
+        cfg = fast_config(tmp_path)
+        outs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            assert main(["train", "--dataset", str(tmp_path / "toy3"), "--out", str(out),
+                         "--config", str(cfg), "--splits", "3", "--epochs", "5",
+                         "--workers", workers]) == 0
+            outs[workers] = {name: (out / name).read_bytes()
+                             for name in ("metrics.csv", "metrics.jsonl", "checkpoint.bin")}
+        assert outs["1"] == outs["2"]
+        assert {r["split"] for r in read_csv(tmp_path / "workers2" / "metrics.csv")} == {
+            "0", "1", "2", "mean", "std"}
+
     def test_temporal_dataset_trains(self, toy_temporal, tmp_path):
         out = tmp_path / "trun"
         code = main(["train", "--dataset", str(toy_temporal), "--out", str(out),

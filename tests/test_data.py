@@ -217,10 +217,10 @@ class TestTransportTask:
             make_transport_task(30, 0.0, 3, seed=0, max_retries=3)
 
     def test_sources_connected_to_destination(self):
-        from adrgnn.data import _components
+        from scipy.sparse.csgraph import connected_components
         for seed in range(5):
             task = make_transport_task(8, 0.3, 2, seed=seed)
-            comp = _components(task.graph)
+            _count, comp = connected_components(task.graph.adjacency(), directed=False)
             assert len({comp[s] for s in task.source_set} | {comp[task.destination]}) == 1
 
     def test_source_count_validated(self):

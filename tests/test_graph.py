@@ -108,6 +108,28 @@ class TestLaplacian:
             laplacian_apply(path2, np.zeros((3, 1)))
 
 
+class TestConstantOperators:
+    def test_scatters_are_the_gather_transposes(self):
+        g = build_graph([(0, 1), (1, 2), (1, 3), (3, 4)], 6)  # node 5 isolated
+        eye = np.eye(g.n_nodes)
+        for index, scatter in ((g.edge_src, g.scatter_src), (g.edge_dst, g.scatter_dst)):
+            assert scatter.shape == (g.n_nodes, g.n_edges)
+            np.testing.assert_array_equal(scatter.toarray(), eye[index].T)
+
+    def test_cached_on_first_access(self):
+        g = erdos_renyi(8, 0.4, seed=2)
+        for name in ("scatter_src", "scatter_dst", "max_plan", "gcn_adjacency"):
+            assert getattr(g, name) is getattr(g, name)
+
+    def test_gcn_adjacency_formula(self):
+        g = build_graph([(0, 1), (1, 2), (2, 0), (2, 3)], 5)  # node 4 isolated
+        a = g.adjacency().toarray() + np.eye(g.n_nodes)
+        d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        want = d_inv_sqrt[:, None] * a * d_inv_sqrt[None, :]
+        np.testing.assert_allclose(g.gcn_adjacency.toarray(), want, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(g.gcn_adjacency.toarray(), g.gcn_adjacency.T.toarray())
+
+
 class TestDirichletEnergy:
     def test_constant_features_zero(self):
         g = erdos_renyi(10, 0.5, seed=0)

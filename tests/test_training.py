@@ -276,6 +276,15 @@ class TestTemporal:
         result = train_temporal(ds, flat_cfg(epochs=2, layers=1, hidden=4, loss="mae"))
         assert result.metrics.mae is not None
 
+    def test_config_validated(self, caplog):
+        g = erdos_renyi(5, 0.8, seed=3)
+        series = philox(4).standard_normal((30, 5, 1))
+        ds = TemporalDataset(graph=g, series=series,
+                             timestamps=np.arange(30, dtype=np.float64))
+        with caplog.at_level("WARNING"):
+            train_temporal(ds, flat_cfg(epochs=1, layers=1, hidden=4, loss="mea"))
+        assert f"config: loss='mea' not in {LOSSES}" in caplog.messages
+
 
 class TestTransportFit:
     @pytest.fixture(scope="class")
