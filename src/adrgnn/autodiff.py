@@ -6,6 +6,11 @@ gradients into every :class:`Variable` with ``requires_grad``. Outside an
 active tape the primitives just compute values, which is the cheap
 evaluation path.
 
+A record keeps only what backward needs: a value-free node for the output,
+one slot per input and the backward rule. An intermediate's value is
+therefore freed as soon as neither the caller nor a backward rule holds it,
+instead of living until backward ends.
+
 The primitive set covers dense linear algebra, elementwise nonlinearities,
 products with constant linear operators (edge gathers and scatters among
 them), a segment softmax keyed to a graph's directed-edge order, masked
@@ -30,9 +35,14 @@ class Variable:
     the vast majority of Variables, the tape's intermediates, never pay for
     one: backward accumulates their gradients in a side table and only
     writes into ``grad`` for requires_grad Variables.
+
+    A Variable produced by a taped op carries its record's index
+    (``tape_id``) and the record's value-free ``node``; the tape refers to
+    it only through that node, so the Variable and its value die with the
+    caller's last reference.
     """
 
-    __slots__ = ("value", "_grad", "requires_grad", "needs_grad", "tape_id", "name")
+    __slots__ = ("value", "_grad", "requires_grad", "needs_grad", "tape_id", "node", "name")
 
     def __init__(self, value, requires_grad: bool = False, name: Optional[str] = None):
         self.value = np.asarray(value, dtype=default_dtype())
@@ -40,6 +50,7 @@ class Variable:
         self.requires_grad = requires_grad
         self.needs_grad = requires_grad
         self.tape_id: Optional[int] = None
+        self.node: Optional[_Node] = None
         self.name = name
 
     @property
@@ -68,11 +79,32 @@ class Variable:
 _ACTIVE_TAPE: Optional["Tape"] = None
 
 
+class _Node:
+    """Value-free stand-in for a taped op's output in the tape's records;
+    backward keys gradients by it."""
+
+    __slots__ = ()
+    value = None
+    requires_grad = False
+
+
+# the input slot of every input that takes no gradient on this tape
+_CONSTANT = _Node()
+
+
 class Tape:
-    """Ordered record of primitive ops; inputs always precede outputs."""
+    """Ordered record of primitive ops; inputs always precede outputs.
+
+    ``records[i]`` is ``(node, input_slots, rule)`` for the op whose output
+    has ``tape_id == i``. An input slot is the input's node if a taped op
+    produced it, the input itself if it is a requires_grad leaf, and the
+    shared ``_CONSTANT`` node otherwise. No slot holds an intermediate's
+    value: the tape keeps alive only the leaves and what the rules capture.
+    Records survive :func:`backward`, so it can run again on the same tape.
+    """
 
     def __init__(self):
-        self.records: list[tuple[Variable, tuple[Variable, ...], Callable]] = []
+        self.records: list[tuple[_Node, tuple, Callable]] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -98,7 +130,9 @@ def _emit(out_value: np.ndarray, inputs: tuple[Variable, ...], backward_fn: Call
     tape = _ACTIVE_TAPE
     if tape is not None and out.needs_grad:
         out.tape_id = len(tape.records)
-        tape.records.append((out, inputs, backward_fn))
+        out.node = node = _Node()
+        slots = tuple([v if v.requires_grad else v.node or _CONSTANT for v in inputs])
+        tape.records.append((node, slots, backward_fn))
     return out
 
 
@@ -110,28 +144,22 @@ def backward(tape: Tape, loss: Variable) -> None:
     """
     if loss.value.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
-    holders: dict[int, Variable] = {id(loss): loss}
-    for out, inputs, backward_fn in reversed(tape.records):
-        g = grads.pop(id(out), None)
-        holders.pop(id(out), None)
+    # keyed by record slot: the tape keeps every key alive, so none is reused
+    grads: dict = {loss.node or loss: np.ones_like(loss.value)}
+    for node, slots, backward_fn in reversed(tape.records):
+        g = grads.pop(node, None)
         if g is None:
             continue
-        if out.requires_grad:
-            out.grad += g
-        input_grads = backward_fn(g)
-        for v, gi in zip(inputs, input_grads):
-            if gi is None or not v.needs_grad:
+        for slot, gi in zip(slots, backward_fn(g)):
+            if gi is None or slot is _CONSTANT:
                 continue
-            key = id(v)
-            if key in grads:
-                grads[key] = grads[key] + gi
+            if slot in grads:
+                grads[slot] = grads[slot] + gi
             else:
-                grads[key] = gi
-                holders[key] = v
-    for key, v in holders.items():
-        if v.requires_grad:
-            v.grad += grads[key]
+                grads[slot] = gi
+    for slot, g in grads.items():
+        if slot.requires_grad:
+            slot.grad += g
 
 
 # ---------------------------------------------------------------------------

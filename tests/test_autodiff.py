@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
 import adrgnn.autodiff as ad
 from adrgnn.autodiff import BatchNormState, Linear, Tape, Variable, backward
 from adrgnn.graph import build_graph, erdos_renyi
-from adrgnn.runtime import default_dtype, philox, set_default_dtype
+from adrgnn.models import AdrGnnStatic
+from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
 from conftest import check_grads, fd_gradient, ad_gradient, max_rel_err
 
@@ -144,6 +147,62 @@ class TestBackwardSemantics:
         first, second = run(), run()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+class TestTapeMemory:
+    """A record holds a value-free node for its output and, for its inputs,
+    only requires_grad leaves or value-free slots."""
+
+    def test_intermediate_no_rule_reads_is_freed_inside_the_tape(self):
+        x = Variable(philox(0).standard_normal((4, 3)), requires_grad=True)
+        w = Variable(philox(1).standard_normal((4, 3)), requires_grad=True)
+        with Tape() as tape:
+            # add's rule keeps only shapes, scale_by_scalar's only the scalar
+            s = ad.add(x, w)
+            value = weakref.ref(s.value)
+            y = ad.scale_by_scalar(s, 3.0)
+            del s
+            assert value() is None
+            loss = ad.total_sum(y)
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, np.full((4, 3), 3.0))
+        np.testing.assert_array_equal(w.grad, np.full((4, 3), 3.0))
+
+    def test_variable_from_an_earlier_tape_is_a_constant_on_a_later_one(self):
+        gen = philox(2)
+        x, v0 = gen.standard_normal((3, 2)), gen.standard_normal((3, 2))
+        w = Variable(gen.standard_normal((2, 2)), requires_grad=True)
+        with Tape():
+            h = ad.matmul(x, w)
+
+        def grad_of_v(h_input):
+            v = Variable(v0, requires_grad=True)
+            with Tape() as tape:
+                # this record takes tape_id 0, the index h carries from the first tape
+                r = ad.scale_by_scalar(v, 2.0)
+                loss = ad.total_sum(ad.hadamard(h_input, r))
+            assert r.tape_id == h.tape_id == 0
+            backward(tape, loss)
+            return v.grad
+
+        np.testing.assert_array_equal(grad_of_v(h), grad_of_v(h.value.copy()))
+        np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
+
+    def test_records_of_a_model_tape_hold_no_intermediate(self):
+        g = erdos_renyi(12, 0.4, seed=3)
+        model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=1, h=0.5,
+                                  use_batchnorm=True, dropout_io=0.2, seed=2)
+        with Tape() as tape:
+            out = model.forward(g, philox(4).standard_normal((12, 3)), train=True,
+                                rng=SeedStream(0))
+            loss = ad.cross_entropy(out, np.arange(12) % 2)
+        assert len(tape.records) > 10
+        for node, slots, _rule in tape.records:
+            assert node.value is None
+            for slot in slots:
+                assert (isinstance(slot, Variable) and slot.requires_grad) or slot.value is None
+        backward(tape, loss)
+        assert all(np.any(p.grad != 0) for p in model.named_parameters().values())
 
 
 class TestGradientsAgainstFiniteDifferences:

@@ -42,7 +42,14 @@ def test_cg_solve_records_its_own_tape_entry():
     rhs = Variable(np.ones((3, 2)), requires_grad=True)
     with Tape() as tape:
         out = ad.cg_solve(lambda x: 0.5 * x, rhs, Variable(np.ones(2)), h=1.0)
-    assert tape.records[out.tape_id][0] is out
+    assert out.tape_id == len(tape.records) - 1
+    # A = I + h*kappa*L = 1.5 I, so the rhs adjoint of ones is 1/1.5 and the
+    # kappa gradient is -h * sum(g_rhs * L u) = -3 * (1/1.5) * (0.5/1.5) per channel
+    _, _, rule = tape.records[out.tape_id]
+    g_rhs, g_kappa = rule(np.ones((3, 2)))
+    np.testing.assert_allclose(g_rhs, np.full((3, 2), 1 / 1.5), rtol=1e-12)
+    assert g_kappa.shape == (2,)
+    np.testing.assert_allclose(g_kappa, np.full(2, -3 * 0.5 / 1.5 ** 2), rtol=1e-12)
 
 
 def test_traced_training_reaches_every_wrapped_stage(tracing):
