@@ -126,9 +126,14 @@ def _emit(out_value: np.ndarray, inputs: tuple[Variable, ...], backward_fn: Call
     """Create the output Variable, recording the op if a tape is active
     and any input participates in differentiation."""
     out = Variable(out_value)
-    out.needs_grad = any(v.needs_grad for v in inputs)
+    for v in inputs:
+        if v.needs_grad:
+            break
+    else:
+        return out
+    out.needs_grad = True
     tape = _ACTIVE_TAPE
-    if tape is not None and out.needs_grad:
+    if tape is not None:
         out.tape_id = len(tape.records)
         out.node = node = _Node()
         slots = tuple([v if v.requires_grad else v.node or _CONSTANT for v in inputs])
@@ -218,16 +223,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitives
 
-def matmul(a, b) -> Variable:
+def matmul(a, b, bias=None) -> Variable:
+    """``a @ b``, plus the row vector ``bias`` if given, as one op."""
     a, b = _as_variable(a), _as_variable(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.value.shape} @ {b.value.shape}")
     av, bv = a.value, b.value
+    out = av @ bv
+    if bias is None:
+        def bwd(g):
+            return g @ bv.T, av.T @ g
 
-    def bwd(g):
-        return g @ bv.T, av.T @ g
+        return _emit(out, (a, b), bwd)
+    bias = _as_variable(bias)
+    if bias.value.shape != (bv.shape[1],):
+        raise ValueError(f"matmul: bias of shape {bias.value.shape} for {bv.shape[1]} columns")
+    out += bias.value
 
-    return _emit(av @ bv, (a, b), bwd)
+    def bwd_bias(g):
+        return g @ bv.T, av.T @ g, g.sum(axis=0)
+
+    return _emit(out, (a, b, bias), bwd_bias)
 
 
 def add(a, b) -> Variable:
@@ -561,12 +577,13 @@ def _cg_channels(lap_apply: Callable, b: np.ndarray, kappa: np.ndarray,
         a_p = lap_apply(p) * h_kappa
         a_p += p
         p_ap = column_dot(p, a_p)
+        # an active channel has rr > 0 and p_ap > 0; the others step by 0
         active = (rr > tol2) & (p_ap > 0)
-        alpha = np.where(active, rr / np.where(p_ap > 0, p_ap, 1.0), 0.0)[None, :]
+        alpha = np.divide(rr, p_ap, out=np.zeros_like(rr), where=active)[None, :]
         x += np.multiply(alpha, p, out=buf)
         r -= np.multiply(alpha, a_p, out=buf)
         rr_new = column_dot(r, r)
-        beta = np.where(active, rr_new / np.where(rr > 0, rr, 1.0), 0.0)
+        beta = np.divide(rr_new, rr, out=np.zeros_like(rr), where=active)
         p *= beta[None, :]
         p += r
         rr = rr_new
@@ -630,8 +647,7 @@ class Linear:
         return cls(w, b)
 
     def __call__(self, x) -> Variable:
-        y = matmul(x, self.w)
-        return add(y, self.b) if self.b is not None else y
+        return matmul(x, self.w, self.b)
 
     def parameters(self) -> list[Variable]:
         return [self.w] + ([self.b] if self.b is not None else [])

@@ -71,6 +71,8 @@ def primitive_checks(seed: int = 0) -> list[dict]:
 
     cases = {
         "matmul": (lambda: _weighted_sum(ad.matmul(x, w), philox(seed + 3)), [x, w]),
+        "linear": (lambda: _weighted_sum(ad.matmul(x, w, bias), philox(seed + 20)),
+                   [x, w, bias]),
         "add": (lambda: _weighted_sum(ad.add(x, bias), philox(seed + 4)), [x, bias]),
         "subtract": (lambda: _weighted_sum(ad.subtract(x, y), philox(seed + 5)), [x, y]),
         "hadamard": (lambda: _weighted_sum(ad.hadamard(x, y), philox(seed + 6)), [x, y]),

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-_DTYPE = np.float64
+_DTYPE = np.dtype(np.float64)
 
 
 def set_default_dtype(name: str) -> None:
@@ -20,11 +20,11 @@ def set_default_dtype(name: str) -> None:
     global _DTYPE
     if name not in ("float64", "float32"):
         raise ValueError(f"unsupported dtype {name!r}; use 'float64' or 'float32'")
-    _DTYPE = np.float64 if name == "float64" else np.float32
+    _DTYPE = np.dtype(name)
 
 
 def default_dtype() -> np.dtype:
-    return np.dtype(_DTYPE)
+    return _DTYPE
 
 
 if os.environ.get("ADRGNN_DTYPE"):

@@ -128,19 +128,10 @@ def predict_classes(logits: np.ndarray) -> np.ndarray:
 
 
 def _binary_roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average ranks over ties
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
+    # 1-based ranks, tied scores sharing the mean of the positions they span
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    ranks = ((2 * first + counts + 1) / 2.0)[inverse]
     pos = labels == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
@@ -188,7 +179,13 @@ def aggregate_metrics(results: list[Metrics]) -> dict[str, tuple[float, float]]:
 
 class AdamW:
     """Adaptive moment estimation with decoupled weight decay, one
-    (lr, weight_decay) pair per parameter group."""
+    (lr, weight_decay) pair per parameter group.
+
+    The moments live in two flat buffers in group order, and each step runs
+    whole-buffer ufuncs over them: the update is elementwise, so this is the
+    per-parameter arithmetic element for element. Two scratch buffers of the
+    same size hold the gathered gradients, then the update and the decay.
+    """
 
     def __init__(self, groups: dict[str, list[Variable]], lr: dict[str, float],
                  weight_decay: dict[str, float], betas: tuple[float, float] = (0.9, 0.999),
@@ -199,35 +196,69 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = {id(p): np.zeros_like(p.value) for ps in groups.values() for p in ps}
-        self._v = {id(p): np.zeros_like(p.value) for ps in groups.values() for p in ps}
+        self._params = [p for ps in groups.values() for p in ps]
+        if len({id(p) for p in self._params}) != len(self._params):
+            raise ValueError("AdamW: a parameter is listed more than once")
+        dtypes = {p.value.dtype for p in self._params}
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamW: parameters of mixed dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+        size = sum(p.value.size for p in self._params)
+        self._m, self._v = np.zeros(size, dtype), np.zeros(size, dtype)
+        self._update, self._decay = np.empty(size, dtype), np.empty(size, dtype)
+        # per group: its span of the buffers and (param, update, decay) views
+        self._spans = []
+        offset = 0
+        for name, params in groups.items():
+            first, members = offset, []
+            for p in params:
+                stop = offset + p.value.size
+                members.append((p, self._update[offset:stop].reshape(p.value.shape),
+                                self._decay[offset:stop].reshape(p.value.shape)))
+                offset = stop
+            self._spans.append((name, slice(first, offset), members))
 
     def step(self) -> None:
+        """Raises TrainingDiverged, before changing anything, naming the
+        first parameter in group order whose gradient is not finite."""
+        params = self._params
+        if not params:
+            self.t += 1
+            return
+        g = np.concatenate([p.grad for p in params], axis=None, out=self._update)
+        if not np.isfinite(g).all():
+            bad = next(p for p in params if not np.isfinite(p.grad).all())
+            raise TrainingDiverged(f"non-finite gradient in parameter {bad.name!r}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, params in self.groups.items():
+        m, v, update, work = self._m, self._v, self._update, self._decay
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=work)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=work)
+        v += np.multiply(work, g, out=work)
+        # update = (m / bc1) / (sqrt(v / bc2) + eps), overwriting g
+        np.divide(m, bc1, out=update)
+        np.sqrt(np.divide(v, bc2, out=work), out=work)
+        work += self.eps
+        update /= work
+        for name, span, members in self._spans:
             lr = self.lr.get(name, 0.0)
             wd = self.weight_decay.get(name, 0.0)
-            for p in params:
-                g = p.grad
-                if not np.isfinite(g).all():
-                    raise TrainingDiverged(f"non-finite gradient in parameter {p.name!r}")
-                m = self._m[id(p)]
-                v = self._v[id(p)]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update[span] *= lr
+            if wd and members:
+                decay = np.concatenate([p.value for p, _, _ in members], axis=None,
+                                       out=work[span])
+                decay *= lr * wd
+            for p, step, decay_p in members:
                 if wd:
-                    p.value -= lr * wd * p.value
-                p.value -= lr * update
+                    p.value -= decay_p
+                p.value -= step
 
     def zero_grad(self) -> None:
-        for params in self.groups.values():
-            for p in params:
-                p.zero_grad()
+        for p in self._params:
+            p.zero_grad()
 
 
 def train_step(optimizer: AdamW, build_loss: Callable[[], Variable], where: str) -> float:

@@ -446,3 +446,39 @@ class TestLinear:
         lin = Linear.init(3, 2, philox(3), bias=False)
         assert lin.b is None
         assert len(lin.parameters()) == 1
+
+    def test_one_record_per_call(self):
+        for bias in (True, False):
+            lin = Linear.init(3, 2, philox(4), bias=bias)
+            with Tape() as tape:
+                lin(Variable(np.ones((5, 3))))
+            assert len(tape.records) == 1
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ValueError, match="bias"):
+            ad.matmul(np.ones((2, 3)), np.ones((3, 4)), np.ones((1, 4)))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("c_out", [1, 4])
+    def test_fused_bias_matches_separate_add_bit_for_bit(self, dtype, c_out):
+        """matmul(x, w, b) gives the value and the gradients, for x, w and
+        b, of add(matmul(x, w), b), to the bit."""
+        previous = default_dtype().name
+        set_default_dtype(dtype)
+        try:
+            gen = philox(40 + c_out)
+            values = [gen.standard_normal(shape) for shape in ((6, 3), (3, c_out), (c_out,))]
+            weights = Variable(gen.standard_normal((6, c_out)))
+            results = []
+            for fused in (True, False):
+                x, w, b = (Variable(v, requires_grad=True) for v in values)
+                with Tape() as tape:
+                    y = ad.matmul(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+                    loss = ad.total_sum(ad.hadamard(y, weights))
+                backward(tape, loss)
+                results.append([y.value] + [v.grad for v in (x, w, b)])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        finally:
+            set_default_dtype(previous)

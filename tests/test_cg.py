@@ -108,6 +108,78 @@ class TestInPlaceIterations:
                                    rtol=1e-12)
 
 
+def _reference_cg_channels(lap_apply, b, kappa, h, iterations, tol):
+    """The solve's loop as it stood with nested ``np.where`` step sizes."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    buf = np.empty_like(b)
+
+    def column_dot(u, v):
+        return np.multiply(u, v, out=buf).sum(axis=0)
+
+    rr = column_dot(r, r)
+    tol2 = tol * tol
+    h_kappa = (h * kappa)[None, :]
+    for _ in range(iterations):
+        if rr.max() <= tol2:
+            break
+        a_p = lap_apply(p) * h_kappa
+        a_p += p
+        p_ap = column_dot(p, a_p)
+        active = (rr > tol2) & (p_ap > 0)
+        alpha = np.where(active, rr / np.where(p_ap > 0, p_ap, 1.0), 0.0)[None, :]
+        x += np.multiply(alpha, p, out=buf)
+        r -= np.multiply(alpha, a_p, out=buf)
+        rr_new = column_dot(r, r)
+        beta = np.where(active, rr_new / np.where(rr > 0, rr, 1.0), 0.0)
+        p *= beta[None, :]
+        p += r
+        rr = rr_new
+    return x
+
+
+class TestStepSizesBitIdentical:
+    """``_cg_channels`` equals the nested-``np.where`` reference loop to the
+    bit: random graphs, channels frozen by kappa = 0 after their first step,
+    early exits on ``tol``, and float32."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_loop(self, dtype, seed):
+        gen = philox(60 + seed)
+        n = int(gen.integers(4, 40))
+        g = erdos_renyi(n, float(gen.uniform(0.05, 0.6)), seed=seed)
+        b = gen.standard_normal((n, 5)).astype(dtype)
+        kappa = gen.uniform(0.0, 1.0, 5).astype(dtype)
+        kappa[seed % 5] = 0.0  # solved exactly in one step, then frozen
+        applied = []
+
+        def lap(v):
+            applied.append(1)
+            return laplacian_apply(g, v)
+
+        for iterations, tol in ((5, 1e-10), (3 * n, 1e-4), (3 * n, 0.0), (1, 1e-10)):
+            applied.clear()
+            got = ad._cg_channels(lap, b, kappa, 0.7, iterations, tol)
+            if tol == 1e-4:
+                assert len(applied) < iterations  # the early exit ran
+            want = _reference_cg_channels(lap, b, kappa, 0.7, iterations, tol)
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), (iterations, tol)
+
+    def test_indefinite_operator_steps_by_zero(self):
+        """A channel whose curvature p.Ap is not positive takes no step; an
+        indefinite operator (-2 I, so A < 0 where h kappa > 1/2) reaches that
+        branch, which a Laplacian never does."""
+        b = philox(3).standard_normal((8, 4))
+        kappa = np.array([0.0, 0.2, 0.8, 1.0])
+        args = (lambda v: -2.0 * v, b, kappa, 1.0, 4, 1e-10)
+        got = ad._cg_channels(*args)
+        assert got.tobytes() == _reference_cg_channels(*args).tobytes()
+        assert np.array_equal(got[:, 2:], np.zeros((8, 2)))
+
+
 class TestGradients:
     def test_rhs_and_kappa_match_finite_differences(self):
         g = erdos_renyi(7, 0.6, seed=1)

@@ -195,6 +195,7 @@ class TestGradcheckCommand:
         rows = read_csv(out / "gradcheck.csv")
         assert all(r["status"] == "pass" for r in rows)
         assert len(rows) >= 20
+        assert "linear" in {r["check"] for r in rows}  # the fused rule Linear runs
 
 
 class TestEnergyCommand:

@@ -12,12 +12,12 @@ from adrgnn.data import (DatasetBundle, TemporalDataset, generate_splits,
                          make_planted_partition, make_transport_task)
 from adrgnn.graph import build_graph, erdos_renyi
 from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, TrainingDiverged,
-                             ablation_study, aggregate_metrics, classification_metrics,
+                             _binary_roc_auc, ablation_study, aggregate_metrics, classification_metrics,
                              depth_energy_study, evaluate, grid_search,
                              regression_metrics, sample_config,
                              train_node_classification, train_step, train_temporal,
                              transport_fit)
-from adrgnn.runtime import philox
+from adrgnn.runtime import default_dtype, philox, set_default_dtype
 
 
 def flat_cfg(**kwargs) -> TrainConfig:
@@ -40,6 +40,57 @@ def separable_bundle(seed=0, n=24) -> DatasetBundle:
                              stratified=True)
     return DatasetBundle(graph=graph, features=features, labels=labels,
                          splits=splits, name="separable")
+
+
+class _ReferenceAdamW:
+    """Per-parameter AdamW, one parameter at a time in group order: the
+    arithmetic the flat-buffer optimizer must reproduce element for element."""
+
+    def __init__(self, groups, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.groups, self.lr, self.weight_decay = groups, lr, weight_decay
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = {id(p): np.zeros_like(p.value) for ps in groups.values() for p in ps}
+        self.v = {id(p): np.zeros_like(p.value) for ps in groups.values() for p in ps}
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, params in self.groups.items():
+            lr = self.lr.get(name, 0.0)
+            wd = self.weight_decay.get(name, 0.0)
+            for p in params:
+                g = p.grad
+                m, v = self.m[id(p)], self.v[id(p)]
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * g * g
+                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                if wd:
+                    p.value -= lr * wd * p.value
+                p.value -= lr * update
+
+
+def _reference_roc_auc(scores, labels):
+    """Rank-sum AUC with tie ranks averaged by a scan over the sorted scores."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    ranks[order] = np.arange(1, len(scores) + 1)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        if j > i:
+            ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
+        i = j + 1
+    pos = labels == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 class TestAdamW:
@@ -68,6 +119,82 @@ class TestAdamW:
         p.grad[...] = np.nan
         with pytest.raises(TrainingDiverged, match="theta.bad"):
             opt.step()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_flat_buffers_match_per_parameter_reference_bit_for_bit(self, dtype):
+        previous = default_dtype().name
+        set_default_dtype(dtype)
+        try:
+            def make_groups():
+                gen = philox(31)
+                return {name: [Variable(gen.standard_normal(shape), requires_grad=True,
+                                        name=f"{name}.{i}") for i, shape in enumerate(shapes)]
+                        for name, shapes in (("decayed", [(3, 4), (4,)]),
+                                             ("plain", [(2,), (5, 2), (1,)]),
+                                             ("unlisted", [(3,)]))}
+
+            lr = {"decayed": 0.03, "plain": 0.01}  # "unlisted" steps with lr 0
+            wd = {"decayed": 5e-3, "plain": 0.0}
+            flat, ref = make_groups(), make_groups()
+            opt, oracle = AdamW(flat, lr, wd), _ReferenceAdamW(ref, lr, wd)
+            for step in range(4):
+                gen = philox(100 + step)
+                for a, b in zip(*(sum(g.values(), []) for g in (flat, ref))):
+                    a.grad = gen.standard_normal(a.shape).astype(dtype)
+                    b.grad = a.grad.copy()
+                opt.step()
+                oracle.step()
+                for a, b in zip(*(sum(g.values(), []) for g in (flat, ref))):
+                    assert a.value.dtype == np.dtype(dtype)
+                    assert a.value.tobytes() == b.value.tobytes(), (step, a.name)
+                for got, want in ((opt._m, oracle.m), (opt._v, oracle.v)):
+                    assert got.tobytes() == np.concatenate(
+                        [m.ravel() for m in want.values()]).tobytes()
+        finally:
+            set_default_dtype(previous)
+
+    def test_nonfinite_gradient_changes_nothing_and_names_first_parameter(self):
+        params = [Variable(np.full(2, float(i)), requires_grad=True, name=f"p{i}")
+                  for i in range(4)]
+        opt = AdamW({"a": params[:2], "b": params[2:]}, {"a": 0.1, "b": 0.1},
+                    {"a": 0.01, "b": 0.0})
+        for p in params:
+            p.grad[...] = 1.0
+        opt.step()
+        before = [p.value.copy() for p in params], opt._m.copy(), opt._v.copy(), opt.t
+        params[1].grad[...] = 1.0
+        params[1].grad[0] = np.inf
+        params[3].grad[1] = np.nan
+        with pytest.raises(TrainingDiverged, match="'p1'"):
+            opt.step()
+        for p, value in zip(params, before[0]):
+            assert np.array_equal(p.value, value)
+        assert np.array_equal(opt._m, before[1]) and np.array_equal(opt._v, before[2])
+        assert opt.t == before[3]
+
+    def test_parameter_listed_twice_rejected(self):
+        p = Variable(np.ones(2), requires_grad=True, name="p")
+        with pytest.raises(ValueError, match="more than once"):
+            AdamW({"a": [p], "b": [p]}, {"a": 0.1, "b": 0.1}, {"a": 0.0, "b": 0.0})
+
+    def test_mixed_dtypes_rejected(self):
+        # one pair of flat moment buffers has one dtype
+        a = Variable(np.ones(2), requires_grad=True, name="a")
+        b = Variable(np.ones(2), requires_grad=True, name="b")
+        b.value = b.value.astype(np.float32)
+        with pytest.raises(ValueError, match="mixed dtypes"):
+            AdamW({"g": [a, b]}, {"g": 0.1}, {"g": 0.0})
+
+    def test_no_parameters_steps(self):
+        opt = AdamW({}, {}, {})
+        opt.step()
+        opt.zero_grad()
+        assert opt.t == 1
+        p = Variable(np.array([2.0]), requires_grad=True, name="p")
+        opt = AdamW({"empty": [], "g": [p]}, {"empty": 0.1, "g": 0.1},
+                    {"empty": 0.01, "g": 0.01})
+        opt.step()
+        assert p.value[0] == 2.0 * (1 - 0.1 * 0.01) and opt.t == 1
 
     def test_zero_grad_clears_all_groups(self):
         a = Variable(np.ones(2), requires_grad=True, name="a")
@@ -109,6 +236,19 @@ class TestMetrics:
         labels = np.array([1, 1, 0, 0])
         m = classification_metrics(logits, labels, np.ones(4, bool))
         assert m.roc_auc == 1.0
+
+    @pytest.mark.parametrize("kind", ["untied", "tied", "all_tied", "signed_zeros"])
+    def test_roc_auc_tie_ranks_match_loop_bit_for_bit(self, kind):
+        gen = philox(70)
+        scores = {"untied": gen.standard_normal(41),
+                  "tied": gen.integers(-3, 4, 41).astype(float) * 0.1,
+                  "all_tied": np.full(41, 0.25),
+                  "signed_zeros": np.where(gen.random(41) < 0.5, 0.0, -0.0)}[kind]
+        for seed in range(5):
+            labels = philox(seed).integers(0, 2, 41)
+            got = _binary_roc_auc(scores, labels)
+            want = _reference_roc_auc(scores, labels)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_aggregate_mean_std(self):
         summary = aggregate_metrics([Metrics(accuracy=0.8), Metrics(accuracy=0.6)])
