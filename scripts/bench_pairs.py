@@ -2,28 +2,29 @@
 """Alternating parent/change pairs of the benchmark, from two checkouts.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload chickenpox-temporal --seed 1 --pairs 10 --seconds 45
+        --workload chickenpox-temporal --seed 1 --pairs 10
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
-process at a time; odd pairs run the parent first, even pairs the change.
-The script prints every pair's end-to-end metrics, then per metric each
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, for
+the ``run_seconds`` of the change's ``BENCHMARK.json`` and one process at a
+time; odd pairs run the parent first, even pairs the change. It prints every pair's end-to-end metrics, then per metric each
 side's median and quartiles, the change's wins (ties count for neither),
 whether the change's median is within the metric's bound in the change's
 ``BENCHMARK.json``, and whether a gain may be claimed: the change wins at
 least nine tenths of at least ten pairs and its median beats the parent's
-by more than the distance between the parent's quartiles. It exits 1 if a
-run fails or reports ``correct: false``.
+by more than the distance between the parent's quartiles. Quartiles are
+``statistics.quantiles(values, n=4)``, as in ``perfbench/reference.py``,
+so at least two pairs are needed. It exits 1 if a run fails or reports
+``correct: false``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
@@ -32,11 +33,11 @@ WIN_SHARE = 0.9
 def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
     """Medians, quartiles, wins and verdicts for one metric over
     ``(parent, change)`` value pairs; ``better`` is "lower" or "higher"."""
-    parent, change = (np.array(side, dtype=float) for side in zip(*pairs))
+    parent, change = zip(*pairs)
     sign = 1.0 if better == "lower" else -1.0
-    p_q1, p_med, p_q3 = np.percentile(parent, [25, 50, 75])
-    c_q1, c_med, c_q3 = np.percentile(change, [25, 50, 75])
-    wins = int(np.sum(sign * (parent - change) > 0))
+    p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4)
+    c_q1, c_med, c_q3 = statistics.quantiles(change, n=4)
+    wins = sum(sign * (p - c) > 0 for p, c in pairs)
     gain = sign * (p_med - c_med)
     return {
         "parent": (p_med, p_q1, p_q3), "change": (c_med, c_q1, c_q3),
@@ -65,21 +66,23 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--seconds", type=float, default=45.0)
     args = parser.parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     runs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         values = {side: run_once(getattr(args, side).resolve(), args.workload, args.seed,
-                                 args.seconds) for side in order}
+                                 seconds) for side in order}
         runs.append((values["parent"], values["change"]))
         print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
             f"{m['name']} {values['parent'][m['name']]:.4g}/{values['change'][m['name']]:.4g}"
             for m in spec), flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s: "
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s: "
           "median [quartiles], parent -> change")
     for m in spec:
         s = summarize([(p[m["name"]], c[m["name"]]) for p, c in runs], m["better"], m["bound"])

@@ -190,7 +190,6 @@ class AdamW:
     def __init__(self, groups: dict[str, list[Variable]], lr: dict[str, float],
                  weight_decay: dict[str, float], betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):
-        self.groups = groups
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
@@ -206,7 +205,6 @@ class AdamW:
         size = sum(p.value.size for p in self._params)
         self._m, self._v = np.zeros(size, dtype), np.zeros(size, dtype)
         self._update, self._decay = np.empty(size, dtype), np.empty(size, dtype)
-        # per group: its span of the buffers and (param, update, decay) views
         self._spans = []
         offset = 0
         for name, params in groups.items():
@@ -238,7 +236,7 @@ class AdamW:
         v *= self.beta2
         np.multiply(g, 1.0 - self.beta2, out=work)
         v += np.multiply(work, g, out=work)
-        # update = (m / bc1) / (sqrt(v / bc2) + eps), overwriting g
+        # the update overwrites the gathered gradients g
         np.divide(m, bc1, out=update)
         np.sqrt(np.divide(v, bc2, out=work), out=work)
         work += self.eps

@@ -19,14 +19,15 @@ def bench_pairs():
     return module
 
 
-# parent runs 10.0-10.9 ms: median 10.45, quartiles 10.225 and 10.675
+# parent runs 10.0-10.9 ms: median 10.45, quartiles 10.175 and 10.725 by
+# statistics.quantiles' exclusive method, as perfbench/reference.py takes them
 PARENT = [10.0 + 0.1 * i for i in range(10)]
 
 
 def test_clear_gain_holds(bench_pairs):
     s = bench_pairs.summarize([(p, p - 2.0) for p in PARENT], "lower", 0.25)
-    assert s["parent"] == pytest.approx((10.45, 10.225, 10.675))
-    assert s["change"] == pytest.approx((8.45, 8.225, 8.675))
+    assert s["parent"] == pytest.approx((10.45, 10.175, 10.725))
+    assert s["change"] == pytest.approx((8.45, 8.175, 8.725))
     assert s["wins"] == 10 and s["pairs"] == 10
     assert s["gain_holds"] and s["within_bound"]
 
@@ -46,9 +47,11 @@ def test_nine_wins_with_a_tie(bench_pairs):
 
 
 def test_gap_inside_the_parent_spread_is_not_a_gain(bench_pairs):
-    # wins every pair, but the medians differ by 0.3 < the parent's 0.45 spread
-    s = bench_pairs.summarize([(p, p - 0.3) for p in PARENT], "lower", 0.25)
+    # wins every pair, but the medians differ by 0.5 < the parent's 0.55 spread;
+    # linear quartiles (0.45 apart) would have let it through
+    s = bench_pairs.summarize([(p, p - 0.5) for p in PARENT], "lower", 0.25)
     assert s["wins"] == 10 and not s["gain_holds"]
+    assert bench_pairs.summarize([(p, p - 0.6) for p in PARENT], "lower", 0.25)["gain_holds"]
 
 
 def test_fewer_than_ten_pairs_is_not_a_gain(bench_pairs):
