@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (DataFormatError, dataset_checksum, load_graph_dataset,
-                   load_temporal_dataset, make_transport_task, normalize_series)
+from .data import (DataFormatError, _resolve_manifest, dataset_checksum,
+                   load_graph_dataset, load_temporal_dataset, make_transport_task,
+                   normalize_series)
 from .gradcheck import run_all_checks
 from .models import save_checkpoint
 from .operators import splitting_error_study
@@ -137,8 +138,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _load_config(args)
     manifest = RunManifest(out_dir, "train", cfg.to_dict(), cfg.seed, args.dataset)
-    kind = json.loads((Path(args.dataset) / "manifest.json").read_text()
-                      if Path(args.dataset).is_dir() else Path(args.dataset).read_text())["kind"]
+    kind = json.loads(_resolve_manifest(args.dataset)[0].read_text())["kind"]
     history_records: list[dict] = []
     if kind == "node_classification":
         bundle = load_graph_dataset(args.dataset)
@@ -203,8 +203,7 @@ def cmd_eval(args) -> int:
         dataset = load_temporal_dataset(args.dataset)
         if args.normalize != "none":
             dataset, _inv = normalize_series(dataset, scheme=args.normalize)
-        metrics = evaluate_temporal(model, dataset,
-                                    n_frequencies=model.config["n_frequencies"])
+        metrics = evaluate_temporal(model, dataset)
         name = dataset.name
     else:
         bundle = load_graph_dataset(args.dataset)

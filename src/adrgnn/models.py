@@ -134,7 +134,7 @@ class AdrGnnStatic(ParameterRegistry):
     def init(cls, c_in: int, c_out: int, hidden: int, layers: int, h: float,
              dropout_io: float = 0.0, dropout_hidden: float = 0.0,
              use_batchnorm: bool = False, cg_iterations: int = 5,
-             seed: int = 0) -> "AdrGnnStatic":
+             terms: str = "ADR", seed: int = 0) -> "AdrGnnStatic":
         if layers < 1:
             raise ValueError("layers must be >= 1")
         if not 0 < h <= 1:
@@ -150,13 +150,15 @@ class AdrGnnStatic(ParameterRegistry):
             "kind": "static", "c_in": c_in, "c_out": c_out, "hidden": hidden,
             "layers": layers, "h": h, "dropout_io": dropout_io,
             "dropout_hidden": dropout_hidden, "use_batchnorm": use_batchnorm,
-            "cg_iterations": cg_iterations,
+            "cg_iterations": cg_iterations, "terms": terms,
         }
         return cls(config, g_in, layer_params, g_out)
 
     def forward(self, g: Graph, x, train: bool = False, rng: Optional[SeedStream] = None,
-                terms: str = "ADR", diagnostics: bool = False):
+                terms: Optional[str] = None, diagnostics: bool = False):
+        """Logits of the model's own ``terms`` unless ``terms`` names others."""
         cfg = self.config
+        terms = cfg["terms"] if terms is None else terms
         p_io, p_h = cfg["dropout_io"], cfg["dropout_hidden"]
         rng = _dropout_rng(rng, train, p_io > 0 or p_h > 0)
         if not isinstance(x, (SparseFeatures, Variable)):

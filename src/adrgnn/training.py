@@ -58,8 +58,6 @@ class TrainConfig:
     cg_iterations: int = 5
     loss: str = "cross_entropy"
     terms: str = "ADR"
-    tau_in: int = 4
-    tau_out: int = 1
     n_frequencies: int = 10
 
     def validate(self, strict: bool = False) -> list[str]:
@@ -292,7 +290,9 @@ class TrainResult:
 
 
 def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
-                     split_index: int, forward_kwargs: Optional[dict] = None) -> TrainResult:
+                     split_index: int) -> TrainResult:
+    if cfg.loss != "cross_entropy":
+        raise ValueError(f"node classification trains cross_entropy, not loss={cfg.loss!r}")
     g = bundle.graph
     x = bundle.features
     if (isinstance(model, AdrGnnStatic)
@@ -302,20 +302,19 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
     train_mask, val_mask, test_mask = bundle.splits[split_index]
     if not train_mask.any():
         raise ValueError(f"split {split_index} has an empty train mask")
-    forward_kwargs = forward_kwargs or {}
     optimizer = AdamW(model.param_groups(), cfg.lr, cfg.weight_decay)
     stream = SeedStream(cfg.seed + split_index)
     history: list[dict] = []
     best = {"val": -np.inf, "epoch": -1, "snapshot": model.snapshot()}
 
     def build_loss() -> Variable:
-        logits = model.forward(g, x, train=True, rng=stream, **forward_kwargs)
+        logits = model.forward(g, x, train=True, rng=stream)
         return ad.cross_entropy(logits, labels, train_mask)
 
     for epoch in range(cfg.epochs):
         loss_value = train_step(optimizer, build_loss, f"epoch {epoch}")
         try:
-            eval_logits = model.forward(g, x, train=False, **forward_kwargs).value
+            eval_logits = model.forward(g, x, train=False).value
         except FloatingPointError as exc:
             raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
         val_acc = classification_metrics(eval_logits, labels, val_mask).accuracy
@@ -331,7 +330,7 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
         elif epoch - best["epoch"] >= cfg.patience:
             break
     model.restore(**best["snapshot"])
-    eval_logits = model.forward(g, x, train=False, **forward_kwargs).value
+    eval_logits = model.forward(g, x, train=False).value
     metrics = classification_metrics(eval_logits, labels, test_mask)
     val_metrics = classification_metrics(eval_logits, labels, val_mask)
     return TrainResult(model, metrics, val_metrics, history, best["epoch"])
@@ -346,9 +345,8 @@ def train_node_classification(bundle: DatasetBundle, cfg: TrainConfig,
         c_in=bundle.features.shape[1], c_out=bundle.n_classes, hidden=cfg.hidden,
         layers=cfg.layers, h=cfg.h, dropout_io=cfg.dropout_io,
         dropout_hidden=cfg.dropout_hidden, use_batchnorm=cfg.use_batchnorm,
-        cg_iterations=cfg.cg_iterations, seed=cfg.seed + split_index)
-    return _classifier_loop(model, bundle, cfg, split_index,
-                            forward_kwargs={"terms": cfg.terms})
+        cg_iterations=cfg.cg_iterations, terms=cfg.terms, seed=cfg.seed + split_index)
+    return _classifier_loop(model, bundle, cfg, split_index)
 
 
 def train_gcn_baseline(bundle: DatasetBundle, cfg: TrainConfig,
@@ -360,12 +358,11 @@ def train_gcn_baseline(bundle: DatasetBundle, cfg: TrainConfig,
 
 
 def run_splits(bundle: DatasetBundle, cfg: TrainConfig,
-               split_indices: Optional[list[int]] = None,
-               trainer: Callable = train_node_classification):
+               split_indices: Optional[list[int]] = None):
     """Train over several splits; returns per-split results and the
     mean/std summary."""
     indices = split_indices if split_indices is not None else list(range(len(bundle.splits)))
-    results = [trainer(bundle, cfg, split_index=s) for s in indices]
+    results = [train_node_classification(bundle, cfg, split_index=s) for s in indices]
     return results, aggregate_metrics([r.metrics for r in results])
 
 
@@ -399,6 +396,10 @@ def train_temporal(dataset: TemporalDataset, cfg: TrainConfig) -> TrainResult:
     order, windows built over the training prefix; evaluation on the final
     10% horizon. Time embeddings are precomputed once per dataset."""
     cfg.validate()
+    if set(cfg.terms.upper()) != set("ADR"):
+        raise ValueError(f"temporal training runs all three terms, not terms={cfg.terms!r}")
+    if cfg.loss not in ("mse", "mae"):
+        raise ValueError(f"temporal training needs loss 'mse' or 'mae', not {cfg.loss!r}")
     windows = make_windows(dataset)
     train_idx, test_idx = _chronological_split(dataset, windows)
     if not train_idx or not test_idx:
@@ -428,18 +429,17 @@ def train_temporal(dataset: TemporalDataset, cfg: TrainConfig) -> TrainResult:
 
             epoch_loss += train_step(optimizer, build_loss, f"epoch {epoch}, window {i}")
         history.append({"epoch": epoch, "train_loss": epoch_loss / len(train_idx)})
-    metrics = evaluate_temporal(model, dataset, n_frequencies=cfg.n_frequencies)
+    metrics = evaluate_temporal(model, dataset)
     return TrainResult(model, metrics, metrics, history, cfg.epochs - 1)
 
 
-def evaluate_temporal(model, dataset: TemporalDataset,
-                      n_frequencies: int = 10) -> Metrics:
+def evaluate_temporal(model, dataset: TemporalDataset) -> Metrics:
     """Deterministic forecast metrics over the final 10% horizon."""
     windows = make_windows(dataset)
     _train_idx, test_idx = _chronological_split(dataset, windows)
     if not test_idx:
         raise ValueError("series too short for a 10% evaluation horizon")
-    n = dataset.graph.n_nodes
+    n, n_frequencies = dataset.graph.n_nodes, model.config["n_frequencies"]
     preds, targets = [], []
     for i in test_idx:
         x, y, times = windows[i]

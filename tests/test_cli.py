@@ -122,11 +122,18 @@ class TestTrainCommand:
     def test_temporal_dataset_trains(self, toy_temporal, tmp_path):
         out = tmp_path / "trun"
         code = main(["train", "--dataset", str(toy_temporal), "--out", str(out),
-                     "--splits", "1", "--epochs", "3", "--layers", "2",
+                     "--splits", "1", "--epochs", "3", "--layers", "2", "--loss", "mse",
                      "--hidden", "8", "--dropout-io", "0.0", "--dropout-hidden", "0.0"])
         assert code == 0
         rows = read_csv(out / "metrics.csv")
         assert any(r["metric"] == "mse" for r in rows)
+
+    def test_temporal_dataset_rejects_classification_loss(self, toy_temporal, tmp_path,
+                                                          capsys):
+        code = main(["train", "--dataset", str(toy_temporal), "--out", str(tmp_path / "t"),
+                     "--splits", "1", "--epochs", "1"])
+        assert code == 2
+        assert "'cross_entropy'" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -141,11 +148,26 @@ class TestEvalCommand:
         rows = read_csv(out / "metrics.csv")
         assert any(r["metric"] == "accuracy" for r in rows)
 
+    @pytest.mark.parametrize("terms", ["A", "AD"])
+    def test_term_ablated_checkpoint_eval_matches_training_metrics(self, toy_dataset,
+                                                                   tmp_path, capsys, terms):
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(toy_dataset), "--out", str(run),
+                     "--config", str(fast_config(tmp_path)), "--splits", "1",
+                     "--terms", terms]) == 0
+        trained = {r["metric"]: float(r["value"])
+                   for r in read_csv(run / "metrics.csv") if r["split"] == "0"}
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                     "--dataset", str(toy_dataset)]) == 0
+        evaluated = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert evaluated == trained
+
     def test_temporal_checkpoint_eval_matches_training_metric(self, toy_temporal,
                                                               tmp_path, capsys):
         run = tmp_path / "trun"
         assert main(["train", "--dataset", str(toy_temporal), "--out", str(run),
-                     "--splits", "1", "--epochs", "3", "--layers", "2",
+                     "--splits", "1", "--epochs", "3", "--layers", "2", "--loss", "mse",
                      "--hidden", "8", "--dropout-io", "0.0",
                      "--dropout-hidden", "0.0"]) == 0
         trained = {r["metric"]: float(r["value"])

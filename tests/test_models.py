@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,37 @@ class TestCheckpoint:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match="shape"):
             load_checkpoint(path)
+
+    def test_static_model_runs_and_saves_its_own_terms(self, tmp_path):
+        g = erdos_renyi(7, 0.5, seed=0)
+        x = philox(2).standard_normal((7, 3))
+        model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=2, h=0.5, terms="A",
+                                  seed=1)
+        own = model.forward(g, x).value
+        np.testing.assert_array_equal(own, model.forward(g, x, terms="A").value)
+        assert not np.array_equal(own, model.forward(g, x, terms="ADR").value)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, model)
+        restored = load_checkpoint(path)
+        assert restored.config["terms"] == "A"
+        np.testing.assert_array_equal(restored.forward(g, x).value, own)
+
+    def test_checkpoint_without_terms_loads_as_all_three(self, tmp_path):
+        g = erdos_renyi(7, 0.5, seed=0)
+        model, (x,) = small_model("static")
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, model)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        config = json.loads(bytes(arrays["__config__"]).decode())
+        del config["terms"]  # as written before the model stored its terms
+        arrays["__config__"] = np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        restored = load_checkpoint(path)
+        assert restored.config["terms"] == "ADR"
+        np.testing.assert_array_equal(restored.forward(g, x).value,
+                                      model.forward(g, x, terms="ADR").value)
 
     def test_build_model_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -11,8 +11,7 @@ from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.operators import (AdrLayerParams, AdvectionParams, DiffusionParams,
                               EdgeVelocities, ReactionParams, adr_layer, advect,
                               advection_matrix, diffuse, divergence,
-                              edge_velocities, matrix_exponential, react,
-                              splitting_error_study)
+                              edge_velocities, react, splitting_error_study)
 from adrgnn.runtime import philox
 
 from conftest import check_grads, random_velocities
@@ -96,12 +95,6 @@ class TestDivergence:
 
 
 class TestAdvect:
-    def test_h_zero_identity_with_override(self, path2):
-        v = EdgeVelocities(Variable(np.ones((2, 1))))
-        u = Variable(np.array([[1.0], [0.0]]))
-        out = advect(path2, u, v, h=0.0, allow_unstable=True)
-        np.testing.assert_array_equal(out.value, u.value)
-
     def test_h_out_of_range_rejected(self, path2):
         v = EdgeVelocities(Variable(np.ones((2, 1))))
         u = Variable(np.zeros((2, 1)))
@@ -186,18 +179,17 @@ class TestAdvectionMatrix:
             assert a.min() >= 0.0
 
     def test_spectral_radius_at_most_one(self):
-        from adrgnn.operators import spectral_radius_estimate
         for seed in range(10):
             g = erdos_renyi(12, 0.4, seed=seed + 40)
             v = make_velocities(g, 1, seed + 41)
             a = advection_matrix(g, v, 0.9, channel=0)
-            assert spectral_radius_estimate(a, seed=seed) <= 1.0 + 1e-9
+            assert np.abs(np.linalg.eigvals(a)).max() <= 1.0 + 1e-9
 
     def test_dense_limit(self):
-        g = erdos_renyi(30, 0.2, seed=50)
+        g = erdos_renyi(201, 0.02, seed=50)
         v = make_velocities(g, 1, 51)
-        with pytest.raises(ValueError, match="dense limit"):
-            advection_matrix(g, v, 0.5, channel=0, dense_limit=10)
+        with pytest.raises(ValueError, match="dense limit 200"):
+            advection_matrix(g, v, 0.5, channel=0)
 
     def test_repeated_advection_bounded(self):
         """Point masses never amplify; general nonnegative features stay
@@ -395,14 +387,3 @@ class TestSplittingStudy:
         with pytest.raises(ValueError, match="square"):
             splitting_error_study(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)),
                                   0.1, np.zeros(2))
-
-    def test_matrix_exponential_against_series_identity(self):
-        # exp(A) exp(-A) = I for the scaling-and-squaring implementation
-        a = philox(122).standard_normal((6, 6))
-        prod = matrix_exponential(a) @ matrix_exponential(-a)
-        np.testing.assert_allclose(prod, np.eye(6), atol=1e-10)
-
-    def test_matrix_exponential_diagonal(self):
-        d = np.diag([0.5, -1.0, 2.0])
-        np.testing.assert_allclose(matrix_exponential(d),
-                                   np.diag(np.exp([0.5, -1.0, 2.0])), atol=1e-12)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.data import (DatasetBundle, TemporalDataset, generate_splits,
                          make_planted_partition, make_transport_task)
 from adrgnn.graph import build_graph, erdos_renyi
+from adrgnn.models import layer_energy_profile
 from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, TrainingDiverged,
                              _binary_roc_auc, ablation_study, aggregate_metrics, classification_metrics,
-                             depth_energy_study, evaluate, grid_search,
+                             depth_energy_study, evaluate, evaluate_temporal, grid_search,
                              regression_metrics, sample_config,
                              train_node_classification, train_step, train_temporal,
                              transport_fit)
@@ -283,6 +286,26 @@ class TestConfig:
             flat_cfg(loss="mea").validate(strict=True)
 
 
+class TestShippedConfigs:
+    """Every file under configs/ loads, is in range, and trains the loss
+    its task needs; an unread or out-of-range key fails here."""
+
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+    LOSS_BY_CONFIG = {"cora": ("cross_entropy",), "chameleon": ("cross_entropy",),
+                      "chickenpox": ("mse", "mae"), "pedalme": ("mse", "mae")}
+
+    def test_every_config_is_classified(self):
+        shipped = {p.stem for p in self.CONFIGS.glob("*.json")}
+        assert shipped == set(self.LOSS_BY_CONFIG)
+
+    @pytest.mark.parametrize("name", sorted(LOSS_BY_CONFIG))
+    def test_config_loads_in_range_with_its_task_loss(self, name):
+        data = json.loads((self.CONFIGS / f"{name}.json").read_text())
+        cfg = TrainConfig.from_dict(data)
+        assert cfg.validate() == []
+        assert cfg.loss in self.LOSS_BY_CONFIG[name]
+
+
 class TestNodeClassification:
     def test_separable_fixture_reaches_full_accuracy(self):
         result = train_node_classification(separable_bundle(), flat_cfg(epochs=200))
@@ -325,6 +348,10 @@ class TestNodeClassification:
         result = train_node_classification(bundle, flat_cfg(epochs=80, patience=15))
         logged_best = max(h["val_accuracy"] for h in result.history)
         assert result.val_metrics.accuracy == logged_best
+
+    def test_regression_loss_rejected(self):
+        with pytest.raises(ValueError, match="loss='mse'"):
+            train_node_classification(separable_bundle(seed=8), flat_cfg(loss="mse"))
 
     def test_empty_train_mask_rejected(self):
         bundle = separable_bundle(seed=8)
@@ -376,7 +403,7 @@ class TestTrainStep:
         ds = TemporalDataset(graph=g, series=series,
                              timestamps=np.arange(30, dtype=np.float64))
         with pytest.raises(TrainingDiverged, match=r"^epoch 0, window 0: cg_solve"):
-            train_temporal(ds, flat_cfg(epochs=2, layers=1, hidden=4))
+            train_temporal(ds, flat_cfg(epochs=2, layers=1, hidden=4, loss="mse"))
 
     @pytest.mark.parametrize("terms, message", [("A", r"^non-finite loss at step 0$"),
                                                 ("D", r"^step 0: cg_solve")])
@@ -404,8 +431,8 @@ class TestTemporal:
                              timestamps=np.arange(6, dtype=np.float64),
                              tau_in=4, tau_out=1)
         # only two windows, all of them straddle the 90% boundary
-        with pytest.raises(ValueError):
-            train_temporal(ds, flat_cfg(epochs=2))
+        with pytest.raises(ValueError, match="too short"):
+            train_temporal(ds, flat_cfg(epochs=2, loss="mse"))
 
     def test_mae_loss_option(self):
         g = erdos_renyi(5, 0.8, seed=3)
@@ -416,12 +443,29 @@ class TestTemporal:
         result = train_temporal(ds, flat_cfg(epochs=2, layers=1, hidden=4, loss="mae"))
         assert result.metrics.mae is not None
 
+    def test_unhonored_settings_rejected(self):
+        g = erdos_renyi(5, 0.8, seed=3)
+        ds = TemporalDataset(graph=g, series=philox(4).standard_normal((30, 5, 1)),
+                             timestamps=np.arange(30, dtype=np.float64))
+        with pytest.raises(ValueError, match="'cross_entropy'"):
+            train_temporal(ds, flat_cfg(epochs=1, layers=1, hidden=4))
+        with pytest.raises(ValueError, match="terms='AD'"):
+            train_temporal(ds, flat_cfg(epochs=1, layers=1, hidden=4, loss="mse", terms="AD"))
+
+    def test_evaluation_uses_the_model_time_embedding(self):
+        g = erdos_renyi(5, 0.8, seed=3)
+        ds = TemporalDataset(graph=g, series=philox(4).standard_normal((30, 5, 1)),
+                             timestamps=np.arange(30, dtype=np.float64))
+        result = train_temporal(ds, flat_cfg(epochs=1, layers=1, hidden=4, loss="mse",
+                                             n_frequencies=3))
+        assert evaluate_temporal(result.model, ds) == result.metrics
+
     def test_config_validated(self, caplog):
         g = erdos_renyi(5, 0.8, seed=3)
         series = philox(4).standard_normal((30, 5, 1))
         ds = TemporalDataset(graph=g, series=series,
                              timestamps=np.arange(30, dtype=np.float64))
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("WARNING"), pytest.raises(ValueError, match="'mea'"):
             train_temporal(ds, flat_cfg(epochs=1, layers=1, hidden=4, loss="mea"))
         assert f"config: loss='mea' not in {LOSSES}" in caplog.messages
 
@@ -482,6 +526,14 @@ class TestStudies:
         for r in rows:
             assert r["relative_energy"][0] == pytest.approx(1.0)
             assert len(r["relative_energy"]) == 3  # embedding plus two layers
+
+    def test_depth_energy_study_runs_the_trained_terms(self, bundle):
+        cfg = flat_cfg(epochs=5, patience=5, layers=2, hidden=8, terms="A")
+        row = next(r for r in depth_energy_study(bundle, [2], cfg) if r["model"] == "adr")
+        model = train_node_classification(bundle, cfg).model
+        _logits, stages = model.forward(bundle.graph, bundle.features, terms="A",
+                                        diagnostics=True)
+        assert row["energies"] == layer_energy_profile(bundle.graph, stages)
 
     def test_deep_convolution_oversmooths_where_adr_does_not(self):
         """Trained at depth 64 on a citation-like fixture, the convolution
