@@ -4,7 +4,8 @@ A :class:`Tape` records primitive operations while it is active as a
 context manager; :func:`backward` replays them in reverse to accumulate
 gradients into every :class:`Variable` with ``requires_grad``. Outside an
 active tape the primitives just compute values, which is the cheap
-evaluation path.
+evaluation path. A tape records only the ops of the thread that opened it,
+so a forward pass on another thread stays the cheap path while it is open.
 
 A record keeps only what backward needs: a value-free node for the output,
 one slot per input and the backward rule. An intermediate's value is
@@ -21,6 +22,7 @@ implicit differentiation instead of unrolling the iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from threading import get_ident
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -101,15 +103,20 @@ class Tape:
     shared ``_CONSTANT`` node otherwise. No slot holds an intermediate's
     value: the tape keeps alive only the leaves and what the rules capture.
     Records survive :func:`backward`, so it can run again on the same tape.
+
+    One tape is active at a time, and it records only the ops of the thread
+    that entered it (``thread``).
     """
 
     def __init__(self):
         self.records: list[tuple[_Node, tuple, Callable]] = []
+        self.thread: Optional[int] = None
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise RuntimeError("a Tape is already active; tapes do not nest")
+        self.thread = get_ident()
         _ACTIVE_TAPE = self
         return self
 
@@ -123,8 +130,8 @@ def _as_variable(x) -> Variable:
 
 
 def _emit(out_value: np.ndarray, inputs: tuple[Variable, ...], backward_fn: Callable) -> Variable:
-    """Create the output Variable, recording the op if a tape is active
-    and any input participates in differentiation."""
+    """Create the output Variable, recording the op if this thread's tape
+    is active and any input participates in differentiation."""
     out = Variable(out_value)
     for v in inputs:
         if v.needs_grad:
@@ -133,7 +140,7 @@ def _emit(out_value: np.ndarray, inputs: tuple[Variable, ...], backward_fn: Call
         return out
     out.needs_grad = True
     tape = _ACTIVE_TAPE
-    if tape is not None:
+    if tape is not None and tape.thread == get_ident():
         out.tape_id = len(tape.records)
         out.node = node = _Node()
         slots = tuple([v if v.requires_grad else v.node or _CONSTANT for v in inputs])
@@ -386,8 +393,10 @@ def segment_softmax(values, source_index, scatter, max_plan) -> Variable:
     """
     values = _as_variable(values)
     expand_sum = lambda x: np.take(scatter @ x, source_index, axis=0)
-    e = np.exp(values.value - _segment_max_rows(values.value, max_plan))
-    y = e / expand_sum(e)
+    # shift, exponentiate and normalize in one edge-sized buffer
+    y = values.value - _segment_max_rows(values.value, max_plan)
+    np.exp(y, out=y)
+    y /= expand_sum(y)
 
     def bwd(g):
         return (y * (g - expand_sum(y * g)),)
@@ -414,6 +423,29 @@ def fixed_sparse_matmul(matrix, matrix_t, x) -> Variable:
         return (_apply_operator(matrix_t, g),)
 
     return _emit(_apply_operator(matrix, x.value), (x,), bwd)
+
+
+def weighted_transport(weights, x, gather, gather_t, scatter, scatter_t) -> Variable:
+    """``scatter @ (weights * (gather @ x))`` as one op: gather rows of
+    ``x`` onto edges, weight them edgewise and sum them back onto nodes.
+    The operators are constant, as in :func:`fixed_sparse_matmul`, with
+    their transposes. The backward rule gathers ``gather @ x`` again instead
+    of keeping the edge-sized copy (recomputation for memory, Chen et al.
+    2016, arXiv 1604.06174)."""
+    weights, x = _as_variable(weights), _as_variable(x)
+    wv, xv = weights.value, x.value
+    edges = _apply_operator(gather, xv)
+    if edges.shape != wv.shape:
+        raise ValueError(f"weighted_transport: weights {wv.shape} for gathered rows {edges.shape}")
+    edges *= wv
+
+    def bwd(g):
+        g_edges = _apply_operator(scatter_t, g)
+        g_x = _apply_operator(gather_t, g_edges * wv)
+        g_edges *= _apply_operator(gather, xv)
+        return g_edges, g_x
+
+    return _emit(_apply_operator(scatter, edges), (weights, x), bwd)
 
 
 def total_sum(x) -> Variable:

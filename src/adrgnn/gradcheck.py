@@ -91,6 +91,9 @@ def primitive_checks(seed: int = 0) -> list[dict]:
         "rev_edge_gather": (lambda: _weighted_sum(
             ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, edge_vals), philox(seed + 19)),
             [edge_vals]),
+        "weighted_transport": (lambda: _weighted_sum(
+            ad.weighted_transport(edge_vals, x, g.edge_src, g.scatter_src, g.scatter_dst,
+                                  g.edge_dst), philox(seed + 23)), [edge_vals, x]),
         "segment_softmax": (lambda: _weighted_sum(
             ad.segment_softmax(edge_vals, g.edge_src, g.scatter_src, g.max_plan),
             philox(seed + 16)), [edge_vals]),

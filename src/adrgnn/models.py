@@ -11,6 +11,7 @@ embedding.
 
 from __future__ import annotations
 
+import copy
 import json
 from typing import Optional
 
@@ -91,6 +92,13 @@ class ParameterRegistry:
         """The live batch-norm running statistics, by checkpoint name."""
         return {name: arr for _group, part in self._parts()
                 if isinstance(part, ReactionParams) for name, arr in part.state().items()}
+
+    def frozen(self):
+        """A copy that shares the parameters but holds its own batch-norm
+        statistics, as they are now: a training-mode forward of this model
+        leaves what the copy's evaluation-mode forward reads unchanged."""
+        shared = {id(p): p for p in self.named_parameters().values()}
+        return copy.deepcopy(self, shared)
 
     def snapshot(self) -> dict:
         """Copies of every parameter and state array, for :meth:`restore`."""

@@ -166,19 +166,19 @@ def edge_velocities(g: Graph, u, params: AdvectionParams,
     commute with row selection), which keeps the dense work node-sized.
     """
     u = ad._as_variable(u)
-    a1_u = params.a1(u)
-    a2_u = params.a2(u)
-    edge_pre = ad.add(ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, a1_u),
-                      ad.fixed_sparse_matmul(g.edge_dst, g.scatter_dst, a2_u))
+    # edge-sized locals are dropped once read: a tape-free forward then
+    # holds fewer of them at its peak, in the softmax
+    edge_pre = ad.add(ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, params.a1(u)),
+                      ad.fixed_sparse_matmul(g.edge_dst, g.scatter_dst, params.a2(u)))
     z = params.a3(ad.relu(edge_pre))
+    del edge_pre
     z_rev = ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, z)
     asym = ad.relu(ad.subtract(z, z_rev))
+    prenorm = (asym, ad.relu(ad.subtract(z_rev, z))) if return_prenorm else ()
     pre = params.a4(asym)
-    v = ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan)
-    if return_prenorm:
-        asym_rev = ad.relu(ad.subtract(z_rev, z))
-        return EdgeVelocities(v), asym, asym_rev
-    return EdgeVelocities(v)
+    del z, z_rev, asym
+    v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan))
+    return (v, *prenorm) if return_prenorm else v
 
 
 def divergence(g: Graph, v: EdgeVelocities, u) -> Variable:
@@ -188,8 +188,8 @@ def divergence(g: Graph, v: EdgeVelocities, u) -> Variable:
     if v.values.value.shape[0] != g.n_edges:
         raise ValueError(
             f"divergence: {v.values.value.shape[0]} edge rows for graph with {g.n_edges} edges")
-    u_src = ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, u)
-    inbound = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst, ad.hadamard(v.values, u_src))
+    inbound = ad.weighted_transport(v.values, u, g.edge_src, g.scatter_src,
+                                    g.scatter_dst, g.edge_dst)
     outflow = ad.hadamard(u, (~g.isolated).astype(float)[:, None])
     return ad.subtract(inbound, outflow)
 

@@ -9,6 +9,7 @@ parameter groups in a fixed order.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
 from typing import Callable, Optional
 
@@ -257,12 +258,9 @@ class AdamW:
             p.zero_grad()
 
 
-def train_step(optimizer: AdamW, build_loss: Callable[[], Variable], where: str) -> float:
-    """One optimizer step: tape ``build_loss()`` (the forward pass and the
-    loss), backpropagate, apply and clear the gradients. Returns the loss
-    value. A non-finite loss or a FloatingPointError (a non-finite solve)
-    raises TrainingDiverged naming ``where``; AdamW names the parameter of
-    a non-finite gradient."""
+def _backpropagate(build_loss: Callable[[], Variable], where: str) -> float:
+    """Tape ``build_loss()`` and backpropagate; returns the loss value. The
+    tape is freed on return."""
     try:
         with Tape() as tape:
             loss = build_loss()
@@ -270,9 +268,37 @@ def train_step(optimizer: AdamW, build_loss: Callable[[], Variable], where: str)
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss at {where}")
         backward(tape, loss)
-        optimizer.step()
     except FloatingPointError as exc:
         raise TrainingDiverged(f"{where}: {exc}") from exc
+    return value
+
+
+def train_step(optimizer: AdamW, build_loss: Callable[[], Variable], where: str,
+               settle: Optional[Callable[[], bool]] = None) -> Optional[float]:
+    """One optimizer step: tape ``build_loss()`` (the forward pass and the
+    loss), backpropagate, apply and clear the gradients. Returns the loss
+    value. A non-finite loss or a FloatingPointError (a non-finite solve)
+    raises TrainingDiverged naming ``where``; AdamW names the parameter of
+    a non-finite gradient.
+
+    ``settle``, if given, is the join point of work that overlapped the
+    pass: it runs after backward and before the step, also when the pass
+    failed. Its own error wins over the pass's. If it returns False, the
+    gradients are dropped unapplied, with any error of the pass, and the
+    result is None.
+    """
+    try:
+        value = _backpropagate(build_loss, where)
+    except Exception:
+        # a pass that settle stops is one a serial loop would not have run
+        if settle is None or settle():
+            raise
+        value = None
+    else:
+        if settle is not None and not settle():
+            value = None
+    if value is not None:
+        optimizer.step()
     optimizer.zero_grad()
     return value
 
@@ -306,29 +332,45 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
     stream = SeedStream(cfg.seed + split_index)
     history: list[dict] = []
     best = {"val": -np.inf, "epoch": -1, "snapshot": model.snapshot()}
+    pending = []  # the last stepped epoch: (epoch, loss, model view, validation)
 
     def build_loss() -> Variable:
         logits = model.forward(g, x, train=True, rng=stream)
         return ad.cross_entropy(logits, labels, train_mask)
 
-    for epoch in range(cfg.epochs):
-        loss_value = train_step(optimizer, build_loss, f"epoch {epoch}")
+    def settle() -> bool:
+        """Epoch bookkeeping once its validation is in; False stops early."""
+        epoch, loss_value, view, validation = pending.pop()
         try:
-            eval_logits = model.forward(g, x, train=False).value
+            eval_logits = validation.result().value
         except FloatingPointError as exc:
             raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
         val_acc = classification_metrics(eval_logits, labels, val_mask).accuracy
         history.append({"epoch": epoch, "train_loss": loss_value, "val_accuracy": val_acc})
         if val_acc > best["val"]:
-            best = {"val": val_acc, "epoch": epoch, "snapshot": model.snapshot()}
-        elif val_acc == best["val"]:
+            best.update(val=val_acc, epoch=epoch, snapshot=view.snapshot())
+            return True
+        if val_acc == best["val"]:
             # keep the most-trained checkpoint among equal validation maxima;
             # patience still counts from the first time the maximum was hit
-            best["snapshot"] = model.snapshot()
-            if epoch - best["epoch"] >= cfg.patience:
+            best["snapshot"] = view.snapshot()
+        return epoch - best["epoch"] < cfg.patience
+
+    # Epoch e's validation forward runs on a helper thread while this thread
+    # tapes and backpropagates epoch e+1; both read the parameters of step e,
+    # and the next step waits for epoch e's bookkeeping. The view keeps the
+    # batch-norm statistics that forward e left, which forward e+1 replaces.
+    with ThreadPoolExecutor(1) as helper:
+        for epoch in range(cfg.epochs):
+            loss_value = train_step(optimizer, build_loss, f"epoch {epoch}",
+                                    settle if pending else None)
+            if loss_value is None:
                 break
-        elif epoch - best["epoch"] >= cfg.patience:
-            break
+            view = model.frozen()
+            pending.append((epoch, loss_value, view,
+                            helper.submit(view.forward, g, x, train=False)))
+        if pending:
+            settle()
     model.restore(**best["snapshot"])
     eval_logits = model.forward(g, x, train=False).value
     metrics = classification_metrics(eval_logits, labels, test_mask)

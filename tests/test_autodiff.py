@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -147,6 +149,51 @@ class TestBackwardSemantics:
         first, second = run(), run()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+class TestTapeThreads:
+    """A tape records the ops of the thread that opened it and no other."""
+
+    def test_forwards_on_other_threads_add_no_record(self):
+        g = erdos_renyi(12, 0.4, seed=3)
+        model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=2, h=0.5,
+                                  use_batchnorm=True, dropout_io=0.2, seed=2)
+        params = list(model.named_parameters().values())
+        x = philox(4).standard_normal((12, 3))
+        view = model.frozen()  # the training forward rebinds the live statistics
+        alone = view.forward(g, x, train=False).value
+
+        def taped_pass(others=None):
+            """Records and gradients of a training pass; the forwards on
+            ``others`` all run while its tape is open."""
+            for p in params:
+                p.zero_grad()
+            with Tape() as tape:
+                futures = [others.submit(view.forward, g, x, train=False)
+                           for _ in range(8)] if others else []
+                loss = ad.total_sum(model.forward(g, x, train=True, rng=SeedStream(0)))
+                outs = [f.result(timeout=60) for f in futures]
+            backward(tape, loss)
+            return len(tape.records), [p.grad.tobytes() for p in params], outs
+
+        *want, _ = taped_pass()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as others:
+                *got, outs = taped_pass(others)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        for out in outs:
+            assert out.tape_id is None and out.node is None
+            assert out.value.tobytes() == alone.tobytes()
+
+    def test_a_tape_opened_on_another_thread_is_refused(self):
+        with Tape():
+            with ThreadPoolExecutor(1) as other:
+                with pytest.raises(RuntimeError, match="nest"):
+                    other.submit(Tape().__enter__).result(timeout=60)
 
 
 class TestTapeMemory:
@@ -482,3 +529,46 @@ class TestLinear:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
         finally:
             set_default_dtype(previous)
+
+
+class TestWeightedTransport:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", list(_segment_graphs()))
+    def test_matches_gather_hadamard_scatter_bit_for_bit(self, name, dtype):
+        """The one-record transport gives the value and both gradients of
+        the gather, hadamard, scatter composition, to the bit."""
+        previous = default_dtype().name
+        set_default_dtype(dtype)
+        try:
+            g = _segment_graphs()[name]
+            gen = philox(31)
+            w0 = gen.random((g.n_edges, 3))
+            x0 = gen.standard_normal((g.n_nodes, 3))
+            upstream = Variable(gen.standard_normal((g.n_nodes, 3)))
+            results = []
+            for fused in (True, False):
+                w, x = Variable(w0, requires_grad=True), Variable(x0, requires_grad=True)
+                with Tape() as tape:
+                    if fused:
+                        y = ad.weighted_transport(w, x, g.edge_src, g.scatter_src,
+                                                  g.scatter_dst, g.edge_dst)
+                    else:
+                        x_src = ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, x)
+                        y = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst,
+                                                   ad.hadamard(w, x_src))
+                    loss = ad.total_sum(ad.hadamard(y, upstream))
+                backward(tape, loss)
+                results.append((y.value, w.grad, x.grad, len(tape.records)))
+            (*fused_arrays, fused_records), (*composed_arrays, composed_records) = results
+            assert fused_records == composed_records - 2
+            for got, want in zip(fused_arrays, composed_arrays):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        finally:
+            set_default_dtype(previous)
+
+    def test_weights_must_match_the_gathered_rows(self):
+        g = _segment_graphs()["erdos_renyi_6"]
+        with pytest.raises(ValueError, match="weighted_transport"):
+            ad.weighted_transport(np.ones((g.n_edges, 2)), np.ones((g.n_nodes, 3)),
+                                  g.edge_src, g.scatter_src, g.scatter_dst, g.edge_dst)

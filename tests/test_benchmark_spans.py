@@ -37,6 +37,14 @@ def test_every_span_resolves_to_a_callable(tracing):
         assert callable(getattr(owner, attr, None)), f"{path}.{attr} is gone"
 
 
+def test_the_open_tape_is_the_module_level_active_tape():
+    # the tracer finds the open tape under this name
+    assert ad._ACTIVE_TAPE is None
+    with Tape() as tape:
+        assert ad._ACTIVE_TAPE is tape
+    assert ad._ACTIVE_TAPE is None
+
+
 def test_cg_solve_records_its_own_tape_entry():
     # the cg_adjoint span wraps the backward rule of this record
     rhs = Variable(np.ones((3, 2)), requires_grad=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,14 +14,14 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.data import (DatasetBundle, TemporalDataset, generate_splits,
                          make_planted_partition, make_transport_task)
 from adrgnn.graph import build_graph, erdos_renyi
-from adrgnn.models import layer_energy_profile
+from adrgnn.models import AdrGnnStatic, GcnBaseline, layer_energy_profile
 from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, TrainingDiverged,
                              _binary_roc_auc, ablation_study, aggregate_metrics, classification_metrics,
                              depth_energy_study, evaluate, evaluate_temporal, grid_search,
-                             regression_metrics, sample_config,
+                             regression_metrics, sample_config, train_gcn_baseline,
                              train_node_classification, train_step, train_temporal,
                              transport_fit)
-from adrgnn.runtime import default_dtype, philox, set_default_dtype
+from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
 
 def flat_cfg(**kwargs) -> TrainConfig:
@@ -376,6 +377,153 @@ class TestNodeClassification:
         assert first.to_dict() == second.to_dict()
 
 
+def _serial_classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig):
+    """The classifier loop run serially: train step, then the validation
+    forward, then the epoch's bookkeeping. Returns the history, the best
+    epoch and the restored model."""
+    g, x, labels = bundle.graph, bundle.features, bundle.labels
+    train_mask, val_mask, _test_mask = bundle.splits[0]
+    optimizer = AdamW(model.param_groups(), cfg.lr, cfg.weight_decay)
+    stream = SeedStream(cfg.seed)
+    history = []
+    best = {"val": -np.inf, "epoch": -1, "snapshot": model.snapshot()}
+
+    def build_loss():
+        return ad.cross_entropy(model.forward(g, x, train=True, rng=stream), labels, train_mask)
+
+    for epoch in range(cfg.epochs):
+        loss_value = train_step(optimizer, build_loss, f"epoch {epoch}")
+        logits = model.forward(g, x, train=False).value
+        val_acc = classification_metrics(logits, labels, val_mask).accuracy
+        history.append({"epoch": epoch, "train_loss": loss_value, "val_accuracy": val_acc})
+        if val_acc > best["val"]:
+            best = {"val": val_acc, "epoch": epoch, "snapshot": model.snapshot()}
+        elif val_acc == best["val"]:
+            best["snapshot"] = model.snapshot()
+            if epoch - best["epoch"] >= cfg.patience:
+                break
+        elif epoch - best["epoch"] >= cfg.patience:
+            break
+    model.restore(**best["snapshot"])
+    return history, best["epoch"], model
+
+
+def _static_model(bundle: DatasetBundle, cfg: TrainConfig) -> AdrGnnStatic:
+    return AdrGnnStatic.init(
+        c_in=bundle.features.shape[1], c_out=bundle.n_classes, hidden=cfg.hidden,
+        layers=cfg.layers, h=cfg.h, dropout_io=cfg.dropout_io,
+        dropout_hidden=cfg.dropout_hidden, use_batchnorm=cfg.use_batchnorm,
+        cg_iterations=cfg.cg_iterations, terms=cfg.terms, seed=cfg.seed)
+
+
+def _gcn_model(bundle: DatasetBundle, cfg: TrainConfig) -> GcnBaseline:
+    return GcnBaseline.init(c_in=bundle.features.shape[1], c_out=bundle.n_classes,
+                            hidden=cfg.hidden, layers=cfg.layers, dropout=cfg.dropout_hidden,
+                            seed=cfg.seed)
+
+
+def _fingerprint(history, best_epoch, model):
+    """History with losses in hex, the best epoch, and the bytes of every
+    parameter and batch-norm statistic."""
+    return ([(h["epoch"], float(h["train_loss"]).hex(), h["val_accuracy"]) for h in history],
+            best_epoch,
+            {n: p.value.tobytes() for n, p in model.named_parameters().items()},
+            {n: a.tobytes() for n, a in model.extra_state().items()})
+
+
+def _early_stopping_bundle() -> DatasetBundle:
+    return make_planted_partition(48, 3, 0.3, 0.05, feat_dim=6, noise=1.5, seed=0, k_splits=1)
+
+
+def _patch_forward(monkeypatch, train_call=None, eval_call=None):
+    """Make AdrGnnStatic.forward raise FloatingPointError on its
+    ``train_call``-th training-mode call or ``eval_call``-th evaluation-mode
+    call, counting from 0; the classifier loop makes call e of each kind in
+    epoch e."""
+    forward = AdrGnnStatic.forward
+    calls = {True: 0, False: 0}
+
+    def failing(self, g, x, train=False, **kwargs):
+        k = calls[train]
+        calls[train] += 1
+        if k == (train_call if train else eval_call):
+            raise FloatingPointError("training pass" if train else "validation pass")
+        return forward(self, g, x, train=train, **kwargs)
+
+    monkeypatch.setattr(AdrGnnStatic, "forward", failing)
+
+
+class TestEpochPipeline:
+    """The classifier loop runs epoch e's validation forward on a helper
+    thread, overlapped with epoch e+1's training pass; its results are those
+    of the serial loop."""
+
+    def test_dropout_model_matches_the_serial_loop(self):
+        bundle = make_planted_partition(40, 3, 0.3, 0.05, feat_dim=6, noise=1.0, seed=3,
+                                        k_splits=1)
+        cfg = flat_cfg(epochs=25, dropout_io=0.3, dropout_hidden=0.2)
+        result = train_node_classification(bundle, cfg)
+        want = _fingerprint(*_serial_classifier_loop(_static_model(bundle, cfg), bundle, cfg))
+        assert _fingerprint(result.history, result.best_epoch, result.model) == want
+
+    def test_batchnorm_early_stop_matches_the_serial_loop(self):
+        bundle = _early_stopping_bundle()
+        cfg = flat_cfg(epochs=40, patience=3, use_batchnorm=True, dropout_io=0.2,
+                       dropout_hidden=0.2)
+        want = _fingerprint(*_serial_classifier_loop(_static_model(bundle, cfg), bundle, cfg))
+        history, best_epoch = want[0], want[1]
+        assert 0 < best_epoch < len(history) - 1 < cfg.epochs - 1  # stops mid-run
+        for _ in range(3):
+            result = train_node_classification(bundle, cfg)
+            assert _fingerprint(result.history, result.best_epoch, result.model) == want
+
+    def test_gcn_baseline_matches_the_serial_loop(self):
+        bundle = make_planted_partition(40, 3, 0.3, 0.05, feat_dim=6, noise=1.0, seed=4,
+                                        k_splits=1)
+        cfg = flat_cfg(epochs=30, patience=4, dropout_hidden=0.3)
+        result = train_gcn_baseline(bundle, cfg)
+        want = _fingerprint(*_serial_classifier_loop(_gcn_model(bundle, cfg), bundle, cfg))
+        assert _fingerprint(result.history, result.best_epoch, result.model) == want
+
+    def test_validation_failure_names_its_epoch(self, monkeypatch):
+        _patch_forward(monkeypatch, eval_call=3)
+        with pytest.raises(TrainingDiverged, match=r"^epoch 3: validation pass$"):
+            train_node_classification(separable_bundle(seed=11), flat_cfg(epochs=10))
+
+    def test_validation_failure_wins_over_the_next_training_pass(self, monkeypatch):
+        _patch_forward(monkeypatch, train_call=4, eval_call=3)
+        with pytest.raises(TrainingDiverged, match=r"^epoch 3: validation pass$"):
+            train_node_classification(separable_bundle(seed=11), flat_cfg(epochs=10))
+
+    def test_training_failure_names_its_epoch(self, monkeypatch):
+        _patch_forward(monkeypatch, train_call=4)
+        with pytest.raises(TrainingDiverged, match=r"^epoch 4: training pass$"):
+            train_node_classification(separable_bundle(seed=11), flat_cfg(epochs=10))
+
+    def test_early_stop_wins_over_the_next_training_pass(self, monkeypatch):
+        bundle = _early_stopping_bundle()
+        cfg = flat_cfg(epochs=40, patience=3, use_batchnorm=True)
+        clean = train_node_classification(bundle, cfg)
+        assert len(clean.history) < cfg.epochs
+        _patch_forward(monkeypatch, train_call=len(clean.history))
+        stopped = train_node_classification(bundle, cfg)
+        assert (_fingerprint(stopped.history, stopped.best_epoch, stopped.model)
+                == _fingerprint(clean.history, clean.best_epoch, clean.model))
+
+    def test_the_helper_thread_ends_with_the_loop(self, monkeypatch):
+        before = threading.active_count()
+        train_node_classification(separable_bundle(seed=12), flat_cfg(epochs=5))
+        assert threading.active_count() == before
+        result = train_node_classification(_early_stopping_bundle(),
+                                           flat_cfg(epochs=40, patience=3))
+        assert len(result.history) < 40
+        assert threading.active_count() == before
+        _patch_forward(monkeypatch, eval_call=2)
+        with pytest.raises(TrainingDiverged):
+            train_node_classification(separable_bundle(seed=12), flat_cfg(epochs=5))
+        assert threading.active_count() == before
+
+
 class TestTrainStep:
     def test_steps_and_clears_the_gradients(self):
         p = Variable(np.array([1.0, -2.0]), requires_grad=True, name="p")
@@ -396,6 +544,32 @@ class TestTrainStep:
 
         with pytest.raises(TrainingDiverged, match=r"^here: boom$"):
             train_step(opt, overflow, "here")
+
+    def test_settle_joins_before_the_step_and_can_drop_it(self):
+        p = Variable(np.array([1.0, -2.0]), requires_grad=True, name="p")
+        opt = AdamW({"g": [p]}, {"g": 0.1}, {"g": 0.0})
+        seen = []
+
+        def settle(go_on):
+            def join():
+                seen.append(p.grad.copy())
+                return go_on
+            return join
+
+        assert train_step(opt, lambda: ad.total_sum(ad.hadamard(p, p)), "here",
+                          settle(False)) is None
+        np.testing.assert_array_equal(seen[-1], [2.0, -4.0])  # after backward
+        np.testing.assert_array_equal(p.value, [1.0, -2.0])
+        np.testing.assert_array_equal(p.grad, 0.0)
+
+        def overflow():
+            raise FloatingPointError("boom")
+
+        assert train_step(opt, overflow, "here", settle(False)) is None
+        with pytest.raises(TrainingDiverged, match=r"^here: boom$"):
+            train_step(opt, overflow, "here", settle(True))
+        assert train_step(opt, lambda: ad.total_sum(p), "here", settle(True)) == -1.0
+        np.testing.assert_allclose(p.value, [0.9, -2.1])
 
     def test_temporal_divergence_names_epoch_and_window(self):
         g = erdos_renyi(5, 0.8, seed=3)
