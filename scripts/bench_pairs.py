@@ -6,12 +6,16 @@
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, for
 the ``run_seconds`` of the change's ``BENCHMARK.json`` and one process at a
-time; odd pairs run the parent first, even pairs the change. It prints every pair's end-to-end metrics, then per metric each
-side's median and quartiles, the change's wins (ties count for neither),
-whether the change's median is within the metric's bound in the change's
+time; odd pairs run the parent first, even pairs the change. It prints
+every pair's end-to-end metrics, then per metric each side's median and
+quartiles, the change's wins (ties count for neither), whether the
+change's median is within the metric's bound in the change's
 ``BENCHMARK.json``, and whether a gain may be claimed: the change wins at
 least nine tenths of at least ten pairs and its median beats the parent's
-by more than the distance between the parent's quartiles. Quartiles are
+by more than the distance between the parent's quartiles. A bound that
+holds is reported ``unresolved`` when that distance exceeds the bound
+times the parent's median, unless every change run beats every parent
+run: the parent's own spread is then too wide to tell. Quartiles are
 ``statistics.quantiles(values, n=4)``, as in ``perfbench/reference.py``,
 so at least two pairs are needed. It exits 1 if a run fails or reports
 ``correct: false``.
@@ -43,9 +47,17 @@ def summarize(pairs: list[tuple[float, float]], better: str, bound: float) -> di
         "parent": (p_med, p_q1, p_q3), "change": (c_med, c_q1, c_q3),
         "wins": wins, "pairs": len(pairs),
         "within_bound": -gain <= bound * abs(p_med),
+        "resolved": (p_q3 - p_q1 <= bound * abs(p_med)
+                     or all(sign * (p - c) > 0 for p in parent for c in change)),
         "gain_holds": (len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs)
                        and gain > p_q3 - p_q1),
     }
+
+
+def bound_verdict(s: dict) -> str:
+    if not s["within_bound"]:
+        return "EXCEEDED"
+    return "ok" if s["resolved"] else "unresolved"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -89,7 +101,7 @@ def main(argv=None) -> int:
         (pm, p1, p3), (cm, c1, c3) = s["parent"], s["change"]
         print(f"{m['name']:16s} {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}]"
               f"  wins {s['wins']}/{s['pairs']}"
-              f"  bound {'ok' if s['within_bound'] else 'EXCEEDED'}"
+              f"  bound {bound_verdict(s)}"
               f"  gain {'holds' if s['gain_holds'] else 'not shown'}")
     return 0
 

@@ -4,8 +4,7 @@ A :class:`Tape` records primitive operations while it is active as a
 context manager; :func:`backward` replays them in reverse to accumulate
 gradients into every :class:`Variable` with ``requires_grad``. Outside an
 active tape the primitives just compute values, which is the cheap
-evaluation path. A tape records only the ops of the thread that opened it,
-so a forward pass on another thread stays the cheap path while it is open.
+evaluation path.
 
 A record keeps only what backward needs: a value-free node for the output,
 one slot per input and the backward rule. An intermediate's value is
@@ -22,7 +21,6 @@ implicit differentiation instead of unrolling the iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import get_ident
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -103,20 +101,16 @@ class Tape:
     shared ``_CONSTANT`` node otherwise. No slot holds an intermediate's
     value: the tape keeps alive only the leaves and what the rules capture.
     Records survive :func:`backward`, so it can run again on the same tape.
-
-    One tape is active at a time, and it records only the ops of the thread
-    that entered it (``thread``).
+    One tape is active at a time.
     """
 
     def __init__(self):
         self.records: list[tuple[_Node, tuple, Callable]] = []
-        self.thread: Optional[int] = None
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise RuntimeError("a Tape is already active; tapes do not nest")
-        self.thread = get_ident()
         _ACTIVE_TAPE = self
         return self
 
@@ -130,8 +124,8 @@ def _as_variable(x) -> Variable:
 
 
 def _emit(out_value: np.ndarray, inputs: tuple[Variable, ...], backward_fn: Callable) -> Variable:
-    """Create the output Variable, recording the op if this thread's tape
-    is active and any input participates in differentiation."""
+    """Create the output Variable, recording the op if a tape is active
+    and any input participates in differentiation."""
     out = Variable(out_value)
     for v in inputs:
         if v.needs_grad:
@@ -140,7 +134,7 @@ def _emit(out_value: np.ndarray, inputs: tuple[Variable, ...], backward_fn: Call
         return out
     out.needs_grad = True
     tape = _ACTIVE_TAPE
-    if tape is not None and tape.thread == get_ident():
+    if tape is not None:
         out.tape_id = len(tape.records)
         out.node = node = _Node()
         slots = tuple([v if v.requires_grad else v.node or _CONSTANT for v in inputs])

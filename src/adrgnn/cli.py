@@ -130,6 +130,15 @@ def _metrics_rows(dataset_name: str, results, seed: int) -> list[list]:
     return rows
 
 
+def _split_count(text: str) -> int | None:
+    """The value of ``--splits``: None for 'all', else an integer of at least 1."""
+    if text == "all":
+        return None
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected 'all' or an integer >= 1, got {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -142,10 +151,7 @@ def cmd_train(args) -> int:
     history_records: list[dict] = []
     if kind == "node_classification":
         bundle = load_graph_dataset(args.dataset)
-        if args.splits == "all":
-            indices = list(range(len(bundle.splits)))
-        else:
-            indices = list(range(min(int(args.splits), len(bundle.splits))))
+        indices = list(range(len(bundle.splits)))[:args.splits]
         # split 0 runs in-process (it provides checkpoint.bin); the rest may
         # fan out to worker processes, each independently seeded per split
         first = train_node_classification(bundle, cfg, split_index=indices[0])
@@ -176,7 +182,7 @@ def cmd_train(args) -> int:
         dataset = load_temporal_dataset(args.dataset)
         if args.normalize != "none":
             dataset, _inv = normalize_series(dataset, scheme=args.normalize)
-        repetitions = (int(args.splits) if args.splits != "all" else 10)
+        repetitions = args.splits or 10
         results = []
         checkpoint_model = None
         for rep in range(repetitions):
@@ -280,9 +286,8 @@ def cmd_ablate(args) -> int:
     manifest = RunManifest(out_dir, "ablate", {**cfg.to_dict(), "terms_list": term_masks},
                            cfg.seed, args.dataset)
     bundle = load_graph_dataset(args.dataset)
-    indices = (list(range(len(bundle.splits))) if args.splits == "all"
-               else list(range(min(int(args.splits), len(bundle.splits)))))
-    rows = ablation_study(bundle, term_masks, cfg, split_indices=indices)
+    rows = ablation_study(bundle, term_masks, cfg,
+                          split_indices=list(range(len(bundle.splits)))[:args.splits])
     csv_rows = []
     for row in rows:
         for metric, (mean, std) in row["summary"].items():
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a dataset container")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--splits", default="all", help="'all' or a count")
+    p.add_argument("--splits", type=_split_count, default="all", help="'all' or a count")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for multi-split fanout")
     p.add_argument("--normalize", default="per_node",
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="per-term ablation study")
     p.add_argument("--dataset", required=True)
     p.add_argument("--terms-list", default="A,D,R,ADR", dest="terms_list")
-    p.add_argument("--splits", default="all")
+    p.add_argument("--splits", type=_split_count, default="all", help="'all' or a count")
     p.add_argument("--out", required=True)
     add_train_flags(p)
     p.set_defaults(func=cmd_ablate)

@@ -176,6 +176,8 @@ def load_graph_dataset(path) -> DatasetBundle:
         labels = _read_array(arrays["labels"], base, "/arrays/labels").astype(np.int64)
         if labels.shape != (n,):
             raise DataFormatError("/arrays/labels/shape", f"{labels.shape} != ({n},)")
+        if (labels < 0).any():
+            raise DataFormatError("/arrays/labels", f"class ids must be >= 0, got {labels.min()}")
     splits = []
     masks = {}
     for part in ("train", "val", "test"):

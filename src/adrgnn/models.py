@@ -93,12 +93,13 @@ class ParameterRegistry:
         return {name: arr for _group, part in self._parts()
                 if isinstance(part, ReactionParams) for name, arr in part.state().items()}
 
-    def frozen(self):
-        """A copy that shares the parameters but holds its own batch-norm
-        statistics, as they are now: a training-mode forward of this model
-        leaves what the copy's evaluation-mode forward reads unchanged."""
-        shared = {id(p): p for p in self.named_parameters().values()}
-        return copy.deepcopy(self, shared)
+    def detached(self):
+        """A copy of the model as it is now, whose parameters take no
+        gradient: its ops never reach a tape, and training this model leaves
+        what the copy reads unchanged. Gradient buffers are not copied."""
+        fresh = {id(p): Variable(p.value.copy(), name=p.name)
+                 for p in self.named_parameters().values()}
+        return copy.deepcopy(self, fresh)
 
     def snapshot(self) -> dict:
         """Copies of every parameter and state array, for :meth:`restore`."""

@@ -258,9 +258,12 @@ class AdamW:
             p.zero_grad()
 
 
-def _backpropagate(build_loss: Callable[[], Variable], where: str) -> float:
-    """Tape ``build_loss()`` and backpropagate; returns the loss value. The
-    tape is freed on return."""
+def train_step(optimizer: AdamW, build_loss: Callable[[], Variable], where: str) -> float:
+    """One optimizer step: tape ``build_loss()`` (the forward pass and the
+    loss), backpropagate, apply and clear the gradients. Returns the loss
+    value. A non-finite loss or a FloatingPointError (a non-finite solve)
+    raises TrainingDiverged naming ``where``; AdamW names the parameter of
+    a non-finite gradient."""
     try:
         with Tape() as tape:
             loss = build_loss()
@@ -270,35 +273,7 @@ def _backpropagate(build_loss: Callable[[], Variable], where: str) -> float:
         backward(tape, loss)
     except FloatingPointError as exc:
         raise TrainingDiverged(f"{where}: {exc}") from exc
-    return value
-
-
-def train_step(optimizer: AdamW, build_loss: Callable[[], Variable], where: str,
-               settle: Optional[Callable[[], bool]] = None) -> Optional[float]:
-    """One optimizer step: tape ``build_loss()`` (the forward pass and the
-    loss), backpropagate, apply and clear the gradients. Returns the loss
-    value. A non-finite loss or a FloatingPointError (a non-finite solve)
-    raises TrainingDiverged naming ``where``; AdamW names the parameter of
-    a non-finite gradient.
-
-    ``settle``, if given, is the join point of work that overlapped the
-    pass: it runs after backward and before the step, also when the pass
-    failed. Its own error wins over the pass's. If it returns False, the
-    gradients are dropped unapplied, with any error of the pass, and the
-    result is None.
-    """
-    try:
-        value = _backpropagate(build_loss, where)
-    except Exception:
-        # a pass that settle stops is one a serial loop would not have run
-        if settle is None or settle():
-            raise
-        value = None
-    else:
-        if settle is not None and not settle():
-            value = None
-    if value is not None:
-        optimizer.step()
+    optimizer.step()
     optimizer.zero_grad()
     return value
 
@@ -339,7 +314,9 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
         return ad.cross_entropy(logits, labels, train_mask)
 
     def settle() -> bool:
-        """Epoch bookkeeping once its validation is in; False stops early."""
+        """Bookkeeping of the pending epoch, if any; False stops early."""
+        if not pending:
+            return True
         epoch, loss_value, view, validation = pending.pop()
         try:
             eval_logits = validation.result().value
@@ -356,21 +333,24 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
             best["snapshot"] = view.snapshot()
         return epoch - best["epoch"] < cfg.patience
 
-    # Epoch e's validation forward runs on a helper thread while this thread
-    # tapes and backpropagates epoch e+1; both read the parameters of step e,
-    # and the next step waits for epoch e's bookkeeping. The view keeps the
-    # batch-norm statistics that forward e left, which forward e+1 replaces.
+    # Epoch e's validation forward runs on a helper thread, on a detached
+    # copy of the model after step e, while this thread takes step e+1. A
+    # step taken past an early stop is undone by the restore below, and its
+    # failure is dropped: the serial loop would not have run it.
     with ThreadPoolExecutor(1) as helper:
         for epoch in range(cfg.epochs):
-            loss_value = train_step(optimizer, build_loss, f"epoch {epoch}",
-                                    settle if pending else None)
-            if loss_value is None:
+            try:
+                loss_value = train_step(optimizer, build_loss, f"epoch {epoch}")
+            except Exception:
+                if settle():
+                    raise
                 break
-            view = model.frozen()
+            if not settle():
+                break
+            view = model.detached()
             pending.append((epoch, loss_value, view,
                             helper.submit(view.forward, g, x, train=False)))
-        if pending:
-            settle()
+        settle()
     model.restore(**best["snapshot"])
     eval_logits = model.forward(g, x, train=False).value
     metrics = classification_metrics(eval_logits, labels, test_mask)

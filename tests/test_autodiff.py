@@ -152,7 +152,8 @@ class TestBackwardSemantics:
 
 
 class TestTapeThreads:
-    """A tape records the ops of the thread that opened it and no other."""
+    """A forward of a detached model on another thread adds nothing to the
+    open tape, and a second thread cannot open a tape of its own."""
 
     def test_forwards_on_other_threads_add_no_record(self):
         g = erdos_renyi(12, 0.4, seed=3)
@@ -160,7 +161,7 @@ class TestTapeThreads:
                                   use_batchnorm=True, dropout_io=0.2, seed=2)
         params = list(model.named_parameters().values())
         x = philox(4).standard_normal((12, 3))
-        view = model.frozen()  # the training forward rebinds the live statistics
+        view = model.detached()  # the training forward rebinds the live statistics
         alone = view.forward(g, x, train=False).value
 
         def taped_pass(others=None):

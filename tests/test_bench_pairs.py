@@ -71,3 +71,32 @@ def test_bound_is_relative_to_the_parent_median(bench_pairs):
     assert bench_pairs.summarize([(p, p + 1.0) for p in PARENT], "lower", 0.1)["within_bound"]
     assert not bench_pairs.summarize([(p, p + 1.1) for p in PARENT], "lower",
                                      0.1)["within_bound"]
+
+
+# a bimodal parent: median 10.5, quartiles 8 and 13, a spread of 5 > 0.25 * 10.5
+BIMODAL = [8.0] * 5 + [13.0] * 5
+
+
+def test_a_bound_inside_a_wide_parent_spread_is_unresolved(bench_pairs):
+    s = bench_pairs.summarize([(p, p + 0.5) for p in BIMODAL], "lower", 0.25)
+    assert s["within_bound"] and not s["resolved"]
+    assert bench_pairs.bound_verdict(s) == "unresolved"
+    # winning every pair is not enough: a change run of 12.9 is slower than 8
+    s = bench_pairs.summarize([(p, p - 0.1) for p in BIMODAL], "lower", 0.25)
+    assert s["wins"] == 10 and bench_pairs.bound_verdict(s) == "unresolved"
+
+
+def test_every_change_run_beating_every_parent_run_resolves(bench_pairs):
+    s = bench_pairs.summarize([(p, 7.5) for p in BIMODAL], "lower", 0.25)
+    assert s["resolved"] and bench_pairs.bound_verdict(s) == "ok"
+    s = bench_pairs.summarize([(p, 13.5) for p in BIMODAL], "higher", 0.25)
+    assert s["resolved"] and bench_pairs.bound_verdict(s) == "ok"
+    s = bench_pairs.summarize([(p, 8.0) for p in BIMODAL], "lower", 0.25)
+    assert bench_pairs.bound_verdict(s) == "unresolved"  # ties beat nothing
+
+
+def test_a_narrow_parent_spread_resolves_and_an_exceeded_bound_stays_exceeded(bench_pairs):
+    s = bench_pairs.summarize([(p, p + 0.5) for p in PARENT], "lower", 0.25)
+    assert s["resolved"] and bench_pairs.bound_verdict(s) == "ok"
+    s = bench_pairs.summarize([(p, p + 5.0) for p in BIMODAL], "lower", 0.25)
+    assert not s["within_bound"] and bench_pairs.bound_verdict(s) == "EXCEEDED"

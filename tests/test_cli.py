@@ -255,3 +255,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", "/tmp/x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("splits", ["0", "-2", "two", "1.5"])
+    def test_split_count_below_one_or_not_a_count_exits_2(self, command, splits, toy_dataset,
+                                                         tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(toy_dataset), "--out", str(out),
+                  "--splits", splits])
+        assert exc.value.code == 2
+        assert "--splits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_temporal_split_count_zero_exits_2(self, toy_temporal, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", str(toy_temporal), "--out", str(out), "--splits", "0"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_split_count_above_the_bundle_runs_every_split(self, toy_dataset, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(toy_dataset), "--out", str(out),
+                     "--config", str(fast_config(tmp_path)), "--epochs", "2",
+                     "--splits", "5"]) == 0
+        splits = {r["split"] for r in read_csv(out / "metrics.csv")}
+        assert splits == {"0", "1", "mean", "std"}

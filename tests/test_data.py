@@ -122,6 +122,14 @@ class TestLoaderValidation:
         with pytest.raises(DataFormatError, match="/arrays/features"):
             load_graph_dataset(out)
 
+    def test_negative_label_rejected(self, tmp_path):
+        def negative(m):
+            m["arrays"]["labels"]["inline"][0] = -1
+
+        out = self._manifest(tmp_path, negative)
+        with pytest.raises(DataFormatError, match=r"^/arrays/labels: .*-1"):
+            load_graph_dataset(out)
+
     def test_bad_dtype(self, tmp_path):
         out = self._manifest(tmp_path,
                              lambda m: m["arrays"]["features"].update(dtype="float16"))

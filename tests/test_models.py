@@ -14,7 +14,7 @@ from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline,
                            time_embedding)
 from adrgnn.operators import advect, diffuse, edge_velocities, react
 from adrgnn.runtime import SeedStream, philox
-from adrgnn.training import GROUPS
+from adrgnn.training import GROUPS, AdamW, train_step
 
 
 def small_model(kind: str, use_batchnorm: bool = False):
@@ -299,6 +299,38 @@ class TestParameterRegistry:
         assert list(model.extra_state()) == [
             f"layers.{l}.react.bn.{stat}" for l in (0, 1)
             for stat in ("running_mean", "running_var")]
+
+
+    @pytest.mark.parametrize("kind, use_batchnorm", [
+        ("static", True), ("temporal", True), ("gcn", False)])
+    def test_a_detached_copy_is_unchanged_by_training(self, kind, use_batchnorm):
+        model, inputs = small_model(kind, use_batchnorm)
+        g = erdos_renyi(7, 0.5, seed=0)
+
+        def loss():
+            return ad.total_sum(model.forward(g, *inputs, train=True, rng=SeedStream(1)))
+
+        optimizer = AdamW(model.param_groups(), {grp: 0.1 for grp in GROUPS},
+                          {grp: 0.01 for grp in GROUPS})
+        train_step(optimizer, loss, "first step")  # materializes the gradient buffers
+        taken = model.snapshot()
+        view = model.detached()
+        logits = view.forward(g, *inputs).value.tobytes()
+        train_step(optimizer, loss, "second step")
+        moved = model.snapshot()
+        kept = view.snapshot()
+        for part in ("params", "state"):
+            assert list(kept[part]) == list(taken[part])
+            for name, arr in taken[part].items():
+                assert kept[part][name].tobytes() == arr.tobytes()
+        assert any(moved["params"][n].tobytes() != a.tobytes()
+                   for n, a in taken["params"].items())
+        if use_batchnorm:
+            assert any(moved["state"][n].tobytes() != a.tobytes()
+                       for n, a in taken["state"].items())
+        assert view.forward(g, *inputs).value.tobytes() == logits
+        for p in view.named_parameters().values():
+            assert not p.requires_grad and not p.needs_grad and p._grad is None
 
 
 class TestCheckpoint:

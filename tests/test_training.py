@@ -545,32 +545,6 @@ class TestTrainStep:
         with pytest.raises(TrainingDiverged, match=r"^here: boom$"):
             train_step(opt, overflow, "here")
 
-    def test_settle_joins_before_the_step_and_can_drop_it(self):
-        p = Variable(np.array([1.0, -2.0]), requires_grad=True, name="p")
-        opt = AdamW({"g": [p]}, {"g": 0.1}, {"g": 0.0})
-        seen = []
-
-        def settle(go_on):
-            def join():
-                seen.append(p.grad.copy())
-                return go_on
-            return join
-
-        assert train_step(opt, lambda: ad.total_sum(ad.hadamard(p, p)), "here",
-                          settle(False)) is None
-        np.testing.assert_array_equal(seen[-1], [2.0, -4.0])  # after backward
-        np.testing.assert_array_equal(p.value, [1.0, -2.0])
-        np.testing.assert_array_equal(p.grad, 0.0)
-
-        def overflow():
-            raise FloatingPointError("boom")
-
-        assert train_step(opt, overflow, "here", settle(False)) is None
-        with pytest.raises(TrainingDiverged, match=r"^here: boom$"):
-            train_step(opt, overflow, "here", settle(True))
-        assert train_step(opt, lambda: ad.total_sum(p), "here", settle(True)) == -1.0
-        np.testing.assert_allclose(p.value, [0.9, -2.1])
-
     def test_temporal_divergence_names_epoch_and_window(self):
         g = erdos_renyi(5, 0.8, seed=3)
         series = philox(4).standard_normal((30, 5, 1)) * 1e300
