@@ -25,7 +25,7 @@ from .data import (DataFormatError, _resolve_manifest, dataset_checksum,
 from .gradcheck import run_all_checks
 from .models import save_checkpoint
 from .operators import splitting_error_study
-from .runtime import philox
+from .runtime import blas_threads, philox
 from .training import (TrainConfig, TrainingDiverged, ablation_study,
                        aggregate_metrics, depth_energy_study, evaluate,
                        evaluate_temporal, train_node_classification,
@@ -64,6 +64,7 @@ class RunManifest:
             "artifact_version": __version__,
             "resolved_config": config,
             "seed": seed,
+            "blas_threads": blas_threads(),
             "dataset": None,
             "outputs": [],
             "wall_clock_seconds": None,

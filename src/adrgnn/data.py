@@ -13,14 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .graph import Graph, build_graph, erdos_renyi
-from .runtime import philox
+from .models import SparseFeatures
+from .runtime import default_dtype, philox
 
 logger = logging.getLogger(__name__)
 
@@ -49,12 +50,26 @@ class DatasetBundle:
     homophily: Optional[float] = None
     row_normalized: bool = False
     split_source: Optional[str] = None
+    # (features, dtype, sparse_features()) as last built
+    _sparse: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
         if self.labels is None:
             raise ValueError("bundle has no labels")
         return int(self.labels.max()) + 1
+
+    def sparse_features(self) -> Optional[SparseFeatures]:
+        """``features`` in CSR form at the working dtype if they are a bag
+        of words (under 5% nonzero in over 2^20 entries), else None. Built
+        on first use and kept until ``features`` is rebound or the working
+        dtype changes."""
+        x, dtype = self.features, default_dtype()
+        if self._sparse is None or self._sparse[0] is not x or self._sparse[1] != dtype:
+            sparse = (SparseFeatures(x)
+                      if x.size > 1 << 20 and np.count_nonzero(x) < 0.05 * x.size else None)
+            self._sparse = (x, dtype, sparse)
+        return self._sparse[2]
 
 
 @dataclass

@@ -8,7 +8,9 @@ masks, inits and sampled graphs reproduce bit-for-bit across platforms.
 
 from __future__ import annotations
 
+import ctypes
 import os
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +31,36 @@ def default_dtype() -> np.dtype:
 
 if os.environ.get("ADRGNN_DTYPE"):
     set_default_dtype(os.environ["ADRGNN_DTYPE"])
+
+
+# thread-count getters of OpenBLAS builds: plain, 64-bit-integer, and the
+# prefixed builds that numpy and scipy wheels bundle
+_OPENBLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                            "scipy_openblas_get_num_threads",
+                            "scipy_openblas_get_num_threads64_")
+
+
+def blas_threads() -> Optional[int]:
+    """The thread count of the OpenBLAS that numpy loaded, read back from the
+    library itself; None where no loaded OpenBLAS answers (another BLAS, or
+    a system whose mapped libraries cannot be listed)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    # numpy's own copy first: scipy may load a second OpenBLAS of its own
+    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return int(getter())
+    return None
 
 
 def philox(seed: int, counter: int = 0) -> np.random.Generator:

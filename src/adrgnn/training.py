@@ -19,9 +19,8 @@ from . import autodiff as ad
 from .autodiff import Tape, Variable, backward
 from .data import DatasetBundle, TemporalDataset, TransportTask, make_windows
 from .graph import EnergyReport
-from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, SparseFeatures,
-                     broadcast_time_embedding, layer_energy_profile, param_groups,
-                     time_embedding)
+from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, broadcast_time_embedding,
+                     layer_energy_profile, param_groups, time_embedding)
 from .operators import AdrLayerParams, adr_layer
 from .runtime import SeedStream, philox
 
@@ -290,23 +289,38 @@ class TrainResult:
     best_epoch: int
 
 
+def split_masks(bundle: DatasetBundle, split_index: int):
+    """The (train, val, test) masks of ``bundle.splits[split_index]``;
+    ValueError for an index outside the bundle's splits or an empty part."""
+    count = len(bundle.splits)
+    if not 0 <= split_index < count:
+        raise ValueError(f"split {split_index} out of range: the bundle has {count} split(s)")
+    masks = bundle.splits[split_index]
+    for part, mask in zip(("train", "val", "test"), masks):
+        if not mask.any():
+            raise ValueError(f"split {split_index} has an empty {part} mask")
+    return masks
+
+
+def model_input(model, bundle: DatasetBundle):
+    """The features ``model`` reads from ``bundle``: the cached CSR form for
+    the ADR classifier on a bag-of-words bundle, the dense array otherwise."""
+    sparse = bundle.sparse_features() if isinstance(model, AdrGnnStatic) else None
+    return bundle.features if sparse is None else sparse
+
+
 def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
                      split_index: int) -> TrainResult:
     if cfg.loss != "cross_entropy":
         raise ValueError(f"node classification trains cross_entropy, not loss={cfg.loss!r}")
-    g = bundle.graph
-    x = bundle.features
-    if (isinstance(model, AdrGnnStatic)
-            and np.count_nonzero(x) < 0.05 * x.size and x.size > 1 << 20):
-        x = SparseFeatures(x)  # bag-of-words inputs: CSR fast path
-    labels = bundle.labels
-    train_mask, val_mask, test_mask = bundle.splits[split_index]
-    if not train_mask.any():
-        raise ValueError(f"split {split_index} has an empty train mask")
+    if cfg.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
+    train_mask, val_mask, test_mask = split_masks(bundle, split_index)
+    g, x, labels = bundle.graph, model_input(model, bundle), bundle.labels
     optimizer = AdamW(model.param_groups(), cfg.lr, cfg.weight_decay)
     stream = SeedStream(cfg.seed + split_index)
     history: list[dict] = []
-    best = {"val": -np.inf, "epoch": -1, "snapshot": model.snapshot()}
+    best = {"val": -np.inf, "epoch": -1}  # and, once an epoch settles, snapshot and logits
     pending = []  # the last stepped epoch: (epoch, loss, model view, validation)
 
     def build_loss() -> Variable:
@@ -325,12 +339,12 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
         val_acc = classification_metrics(eval_logits, labels, val_mask).accuracy
         history.append({"epoch": epoch, "train_loss": loss_value, "val_accuracy": val_acc})
         if val_acc > best["val"]:
-            best.update(val=val_acc, epoch=epoch, snapshot=view.snapshot())
+            best.update(val=val_acc, epoch=epoch, snapshot=view.snapshot(), logits=eval_logits)
             return True
         if val_acc == best["val"]:
             # keep the most-trained checkpoint among equal validation maxima;
             # patience still counts from the first time the maximum was hit
-            best["snapshot"] = view.snapshot()
+            best.update(snapshot=view.snapshot(), logits=eval_logits)
         return epoch - best["epoch"] < cfg.patience
 
     # Epoch e's validation forward runs on a helper thread, on a detached
@@ -351,10 +365,11 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
             pending.append((epoch, loss_value, view,
                             helper.submit(view.forward, g, x, train=False)))
         settle()
+    # The kept logits are the restored model's own: the view they came from
+    # held the same values and ran the same forward, so none is rerun.
     model.restore(**best["snapshot"])
-    eval_logits = model.forward(g, x, train=False).value
-    metrics = classification_metrics(eval_logits, labels, test_mask)
-    val_metrics = classification_metrics(eval_logits, labels, val_mask)
+    metrics = classification_metrics(best["logits"], labels, test_mask)
+    val_metrics = classification_metrics(best["logits"], labels, val_mask)
     return TrainResult(model, metrics, val_metrics, history, best["epoch"])
 
 
@@ -390,10 +405,11 @@ def run_splits(bundle: DatasetBundle, cfg: TrainConfig,
 
 def evaluate(model, bundle: DatasetBundle, split_index: int = 0,
              part: str = "test") -> Metrics:
-    """Deterministic evaluation-mode metrics on one split part."""
-    train_mask, val_mask, test_mask = bundle.splits[split_index]
+    """Deterministic evaluation-mode metrics on one split part, from the
+    input the training loop reads (:func:`model_input`)."""
+    train_mask, val_mask, test_mask = split_masks(bundle, split_index)
     mask = {"train": train_mask, "val": val_mask, "test": test_mask}[part]
-    logits = model.forward(bundle.graph, bundle.features, train=False).value
+    logits = model.forward(bundle.graph, model_input(model, bundle), train=False).value
     return classification_metrics(logits, bundle.labels, mask)
 
 
@@ -422,6 +438,8 @@ def train_temporal(dataset: TemporalDataset, cfg: TrainConfig) -> TrainResult:
         raise ValueError(f"temporal training runs all three terms, not terms={cfg.terms!r}")
     if cfg.loss not in ("mse", "mae"):
         raise ValueError(f"temporal training needs loss 'mse' or 'mae', not {cfg.loss!r}")
+    if cfg.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
     windows = make_windows(dataset)
     train_idx, test_idx = _chronological_split(dataset, windows)
     if not train_idx or not test_idx:
@@ -486,7 +504,8 @@ def depth_energy_study(bundle: DatasetBundle, depths, cfg: TrainConfig,
                               ("gcn", train_gcn_baseline)):
             result = trainer(bundle, cfg_d, split_index=split_index)
             _logits, stages = result.model.forward(
-                bundle.graph, bundle.features, train=False, diagnostics=True)
+                bundle.graph, model_input(result.model, bundle), train=False,
+                diagnostics=True)
             report = EnergyReport.from_energies(layer_energy_profile(bundle.graph, stages))
             rows.append({
                 "model": kind, "depth": int(depth),

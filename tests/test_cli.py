@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adrgnn
 from adrgnn.cli import main
 from adrgnn.data import (TemporalDataset, make_planted_partition, save_bundle,
                          save_temporal)
 from adrgnn.graph import erdos_renyi
-from adrgnn.runtime import philox
+from adrgnn.runtime import blas_threads, philox
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,18 @@ class TestTrainCommand:
         assert manifest["resolved_config"]["epochs"] == 25
         assert manifest["dataset"]["checksum"]
         assert manifest["wall_clock_seconds"] is not None
+        assert manifest["blas_threads"] == blas_threads()
+
+    def test_blas_thread_count_is_read_from_the_library(self):
+        if blas_threads() is None:
+            pytest.skip("no loaded OpenBLAS answers a thread-count getter")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(adrgnn.__file__).parents[1])}
+        child = subprocess.run(
+            [sys.executable, "-c", "from adrgnn.runtime import blas_threads; "
+                                   "print(blas_threads())"],
+            env=env, capture_output=True, text=True, check=True)
+        assert child.stdout.strip() == "1"
 
     def test_missing_dataset_exits_2_with_path(self, tmp_path, capsys):
         code = main(["train", "--dataset", str(tmp_path / "absent"),
@@ -274,6 +290,27 @@ class TestUsageErrors:
             main(["train", "--dataset", str(toy_temporal), "--out", str(out), "--splits", "0"])
         assert exc.value.code == 2
         assert not out.exists()
+
+    def test_epochs_zero_exits_2(self, toy_dataset, tmp_path, capsys):
+        code = main(["train", "--dataset", str(toy_dataset), "--out", str(tmp_path / "run"),
+                     "--config", str(fast_config(tmp_path)), "--epochs", "0"])
+        assert code == 2
+        assert "epochs must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["2", "-1"])
+    def test_split_index_outside_the_bundle_exits_2(self, split, toy_dataset, tmp_path,
+                                                    capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(toy_dataset), "--out", str(run),
+                     "--config", str(fast_config(tmp_path)), "--epochs", "2",
+                     "--splits", "1"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                     "--dataset", str(toy_dataset), "--split", split]) == 2
+        assert main(["energy", "--dataset", str(toy_dataset), "--depths", "2",
+                     "--epochs", "2", "--split", split, "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"split {split} out of range: the bundle has 2 split(s)") == 2
 
     def test_split_count_above_the_bundle_runs_every_split(self, toy_dataset, tmp_path):
         out = tmp_path / "run"

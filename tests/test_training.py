@@ -14,11 +14,11 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.data import (DatasetBundle, TemporalDataset, generate_splits,
                          make_planted_partition, make_transport_task)
 from adrgnn.graph import build_graph, erdos_renyi
-from adrgnn.models import AdrGnnStatic, GcnBaseline, layer_energy_profile
+from adrgnn.models import AdrGnnStatic, GcnBaseline, SparseFeatures, layer_energy_profile
 from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, TrainingDiverged,
                              _binary_roc_auc, ablation_study, aggregate_metrics, classification_metrics,
                              depth_energy_study, evaluate, evaluate_temporal, grid_search,
-                             regression_metrics, sample_config, train_gcn_baseline,
+                             model_input, regression_metrics, sample_config, train_gcn_baseline,
                              train_node_classification, train_step, train_temporal,
                              transport_fit)
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
@@ -522,6 +522,130 @@ class TestEpochPipeline:
         with pytest.raises(TrainingDiverged):
             train_node_classification(separable_bundle(seed=12), flat_cfg(epochs=5))
         assert threading.active_count() == before
+
+
+class TestOneForwardPerEpoch:
+    """Each epoch runs one tape-free forward, its validation, and the final
+    metrics come from the best epoch's validation logits."""
+
+    def test_each_epoch_runs_one_tape_free_forward(self, monkeypatch):
+        forward = AdrGnnStatic.forward
+        modes = []
+
+        def counting(self, g, x, train=False, **kwargs):
+            modes.append(train)
+            return forward(self, g, x, train=train, **kwargs)
+
+        monkeypatch.setattr(AdrGnnStatic, "forward", counting)
+        result = train_node_classification(separable_bundle(seed=13),
+                                           flat_cfg(epochs=7, patience=100))
+        assert len(result.history) == 7
+        assert modes.count(False) == 7
+        assert modes.count(True) == 7
+
+    def test_metrics_equal_a_fresh_evaluation_after_an_early_stop(self):
+        bundle = _early_stopping_bundle()
+        result = train_node_classification(
+            bundle, flat_cfg(epochs=40, patience=3, use_batchnorm=True, dropout_io=0.2))
+        assert len(result.history) < 40
+        assert evaluate(result.model, bundle) == result.metrics
+        assert evaluate(result.model, bundle, 0, "val") == result.val_metrics
+
+
+def _bag_of_words_bundle(seed=0, n=1100, vocab=1000) -> DatasetBundle:
+    """Over 2^20 feature entries, about 1% nonzero: the CSR input path."""
+    gen = philox(seed)
+    labels = gen.integers(0, 3, n)
+    on_topic = labels[:, None] * 50 + gen.integers(0, 50, (n, 10))
+    words = np.where(gen.random((n, 10)) < 0.6, on_topic, gen.integers(0, vocab, (n, 10)))
+    features = np.zeros((n, vocab))
+    features[np.arange(n)[:, None], words] = 1.0
+    splits = generate_splits(n, k=1, seed=seed, labels=labels, stratified=True)
+    return DatasetBundle(graph=erdos_renyi(n, 4.0 / n, seed=seed), features=features,
+                         labels=labels, splits=splits, name="bag-of-words")
+
+
+class TestSparseInput:
+    def test_bag_of_words_bundle_builds_its_csr_once(self):
+        bundle = _bag_of_words_bundle()
+        sparse = bundle.sparse_features()
+        assert isinstance(sparse, SparseFeatures)
+        assert bundle.sparse_features() is sparse
+        np.testing.assert_array_equal(sparse.csr.toarray(), bundle.features)
+        assert model_input(_static_model(bundle, flat_cfg()), bundle) is sparse
+        assert model_input(_gcn_model(bundle, flat_cfg()), bundle) is bundle.features
+        bundle.features = bundle.features.copy()
+        assert bundle.sparse_features() is not sparse
+
+    def test_dense_bundle_reads_its_dense_features(self):
+        bundle = separable_bundle()
+        assert bundle.sparse_features() is None
+        assert model_input(_static_model(bundle, flat_cfg()), bundle) is bundle.features
+
+    def test_evaluate_scores_what_training_scored(self, monkeypatch):
+        bundle = _bag_of_words_bundle()
+        result = train_node_classification(bundle, flat_cfg(epochs=3, dropout_io=0.2))
+        forward, inputs = AdrGnnStatic.forward, []
+
+        def recording(self, g, x, **kwargs):
+            inputs.append(x)
+            return forward(self, g, x, **kwargs)
+
+        monkeypatch.setattr(AdrGnnStatic, "forward", recording)
+        assert evaluate(result.model, bundle) == result.metrics
+        assert evaluate(result.model, bundle, 0, "val") == result.val_metrics
+        assert all(x is bundle.sparse_features() for x in inputs) and len(inputs) == 2
+
+    def test_cached_input_follows_the_working_dtype(self):
+        bundle = _bag_of_words_bundle()
+        assert bundle.sparse_features().csr.dtype == np.float64
+        previous = default_dtype().name
+        set_default_dtype("float32")
+        try:
+            assert bundle.sparse_features().csr.dtype == np.float32
+            result = train_node_classification(bundle, flat_cfg(epochs=1))
+            assert result.model.g_in.w.value.dtype == np.float32
+        finally:
+            set_default_dtype(previous)
+        assert bundle.sparse_features().csr.dtype == np.float64
+
+
+class TestSplitAndEpochChecks:
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_split_index_outside_the_bundle_rejected(self, index):
+        bundle = separable_bundle(seed=14)  # one split
+        message = rf"^split {index} out of range: the bundle has 1 split\(s\)$"
+        with pytest.raises(ValueError, match=message):
+            train_node_classification(bundle, flat_cfg(epochs=2), split_index=index)
+        with pytest.raises(ValueError, match=message):
+            evaluate(_static_model(bundle, flat_cfg()), bundle, index)
+
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_empty_split_part_rejected(self, part):
+        bundle = separable_bundle(seed=14)
+        masks = list(bundle.splits[0])
+        masks[("train", "val", "test").index(part)] = np.zeros(bundle.graph.n_nodes, bool)
+        bundle.splits = [tuple(masks)]
+        message = f"^split 0 has an empty {part} mask$"
+        with pytest.raises(ValueError, match=message):
+            train_node_classification(bundle, flat_cfg(epochs=2))
+        with pytest.raises(ValueError, match=message):
+            train_gcn_baseline(bundle, flat_cfg(epochs=2))
+        with pytest.raises(ValueError, match=message):
+            evaluate(_static_model(bundle, flat_cfg()), bundle)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        bundle = separable_bundle(seed=14)
+        message = f"^epochs must be >= 1, got {epochs}$"
+        for trainer in (train_node_classification, train_gcn_baseline):
+            with pytest.raises(ValueError, match=message):
+                trainer(bundle, flat_cfg(epochs=epochs))
+        ds = TemporalDataset(graph=erdos_renyi(5, 0.8, seed=3),
+                             series=philox(4).standard_normal((30, 5, 1)),
+                             timestamps=np.arange(30, dtype=np.float64))
+        with pytest.raises(ValueError, match=message):
+            train_temporal(ds, flat_cfg(epochs=epochs, layers=1, hidden=4, loss="mse"))
 
 
 class TestTrainStep:
