@@ -343,12 +343,18 @@ def dropout(x, p: float, train: bool, rng) -> Variable:
     if not isinstance(rng, np.random.Generator):
         rng = philox(int(rng))
     scale = 1.0 / (1.0 - p)
-    mask = (rng.random(x.value.shape) >= p) * scale
+    # a boolean mask, scaled at use: an eighth of a float64 mask's bytes,
+    # and the products keep the input's dtype
+    mask = rng.random(x.value.shape) >= p
 
     def bwd(g):
-        return (g * mask,)
+        g = g * mask
+        g *= scale
+        return (g,)
 
-    return _emit(x.value * mask, (x,), bwd)
+    out = x.value * mask
+    out *= scale
+    return _emit(out, (x,), bwd)
 
 
 def slice_columns(x, start: int, stop: int) -> Variable:
@@ -387,8 +393,9 @@ def segment_softmax(values, source_index, scatter, max_plan) -> Variable:
     """
     values = _as_variable(values)
     expand_sum = lambda x: np.take(scatter @ x, source_index, axis=0)
-    # shift, exponentiate and normalize in one edge-sized buffer
-    y = values.value - _segment_max_rows(values.value, max_plan)
+    # shift, exponentiate and normalize in the buffer that holds the maxima
+    y = _segment_max_rows(values.value, max_plan)
+    np.subtract(values.value, y, out=y)
     np.exp(y, out=y)
     y /= expand_sum(y)
 
@@ -440,6 +447,48 @@ def weighted_transport(weights, x, gather, gather_t, scatter, scatter_t) -> Vari
         return g_edges, g_x
 
     return _emit(_apply_operator(scatter, edges), (weights, x), bwd)
+
+
+def edge_asymmetry(a1u: np.ndarray, a2u: np.ndarray, w3: np.ndarray,
+                   src: np.ndarray, dst: np.ndarray, rev: np.ndarray) -> tuple:
+    """``(hidden, asym)``: ``hidden = relu(a1u[src] + a2u[dst])`` and
+    ``asym = relu(z - z[rev])`` for ``z = hidden @ w3``, on plain arrays.
+    Either ReLU's mask is its output's positive entries."""
+    hidden = np.take(a1u, src, axis=0)
+    hidden += np.take(a2u, dst, axis=0)
+    np.maximum(hidden, 0.0, out=hidden)
+    asym = hidden @ w3
+    asym -= np.take(asym, rev, axis=0)
+    np.maximum(asym, 0.0, out=asym)
+    return hidden, asym
+
+
+def edge_scores(a1u, a2u, w3, w4, src, dst, scatter_src, scatter_dst, rev) -> Variable:
+    """Pre-softmax edge scores ``edge_asymmetry(...)[1] @ w4`` as one op.
+
+    ``a1u`` and ``a2u`` are node rows gathered onto edges by ``src`` and
+    ``dst``, whose transposes are ``scatter_src`` and ``scatter_dst``;
+    ``rev`` is the reverse-edge involution. The record keeps only the
+    node-sized inputs and the two weights: backward recomputes the
+    edge-sized values (Chen et al. 2016, arXiv 1604.06174)."""
+    a1u, a2u, w3, w4 = (_as_variable(v) for v in (a1u, a2u, w3, w4))
+    a1v, a2v, w3v, w4v = a1u.value, a2u.value, w3.value, w4.value
+    _, asym = edge_asymmetry(a1v, a2v, w3v, src, dst, rev)
+
+    def bwd(g):
+        hidden, asym = edge_asymmetry(a1v, a2v, w3v, src, dst, rev)
+        g_w4 = asym.T @ g
+        g_d = g @ w4v.T
+        g_d *= asym > 0
+        del asym
+        g_z = g_d - np.take(g_d, rev, axis=0)
+        del g_d
+        g_w3 = hidden.T @ g_z
+        g_hidden = g_z @ w3v.T
+        g_hidden *= hidden > 0
+        return scatter_src @ g_hidden, scatter_dst @ g_hidden, g_w3, g_w4
+
+    return _emit(asym @ w4v, (a1u, a2u, w3, w4), bwd)
 
 
 def total_sum(x) -> Variable:
@@ -533,7 +582,7 @@ def cross_entropy(logits, labels, mask=None) -> Variable:
         full[rows] = p / len(rows)
         return (full * g,)
 
-    return _emit(np.asarray(loss), (logits,), bwd)
+    return _emit(np.asarray(loss, dtype=z.dtype), (logits,), bwd)
 
 
 def mse(pred, target, mask=None) -> Variable:
@@ -552,7 +601,7 @@ def mse(pred, target, mask=None) -> Variable:
         full[m] = 2.0 * diff / count
         return (full * g,)
 
-    return _emit(np.asarray(float((diff * diff).mean())), (pred,), bwd)
+    return _emit(np.asarray((diff * diff).mean(), dtype=diff.dtype), (pred,), bwd)
 
 
 def mae(pred, target, mask=None) -> Variable:
@@ -571,7 +620,7 @@ def mae(pred, target, mask=None) -> Variable:
         full[m] = np.sign(diff) / count
         return (full * g,)
 
-    return _emit(np.asarray(float(np.abs(diff).mean())), (pred,), bwd)
+    return _emit(np.asarray(np.abs(diff).mean(), dtype=diff.dtype), (pred,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +637,11 @@ def _cg_channels(lap_apply: Callable, b: np.ndarray, kappa: np.ndarray,
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
+    a_p = np.empty_like(b)
     buf = np.empty_like(b)
 
     def column_dot(u, v):
-        return np.multiply(u, v, out=buf).sum(axis=0)
+        return np.einsum("ij,ij->j", u, v)
 
     rr = column_dot(r, r)
     tol2 = tol * tol
@@ -600,7 +650,7 @@ def _cg_channels(lap_apply: Callable, b: np.ndarray, kappa: np.ndarray,
         if rr.max() <= tol2:
             break
         # lap_apply may return its argument, so its result is never written
-        a_p = lap_apply(p) * h_kappa
+        np.multiply(lap_apply(p), h_kappa, out=a_p)
         a_p += p
         p_ap = column_dot(p, a_p)
         # an active channel has rr > 0 and p_ap > 0; the others step by 0

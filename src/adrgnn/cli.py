@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 import time
 from dataclasses import replace
@@ -31,6 +32,8 @@ from .training import (TrainConfig, TrainingDiverged, ablation_study,
                        evaluate_temporal, train_node_classification,
                        train_temporal, transport_fit)
 from .models import load_checkpoint
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,6 +95,12 @@ def _load_config(args) -> TrainConfig:
         raw = json.loads(Path(args.config).read_text())
         # Accept a previous run manifest for exact reruns.
         if "resolved_config" in raw:
+            # float64 bytes depend on the BLAS thread count
+            recorded, current = raw.get("blas_threads"), blas_threads()
+            if None not in (recorded, current) and recorded != current:
+                logger.warning("manifest %s was run with %d BLAS threads, this run has %d; "
+                               "results may differ in the last bits",
+                               args.config, recorded, current)
             raw = raw["resolved_config"]
         data = raw
     cfg = TrainConfig.from_dict(data)

@@ -39,6 +39,7 @@ class Graph:
 
         self.degree = np.bincount(edge_src, minlength=self.n_nodes).astype(np.int64)
         self.isolated = self.degree == 0
+        self.has_isolated = bool(self.isolated.any())
         self.out_indptr = np.concatenate(([0], np.cumsum(self.degree)))
 
         # Reverse-edge permutation: position of (dst, src) in the sorted list.
@@ -66,8 +67,11 @@ class Graph:
         )
 
     def _scatter(self, index: np.ndarray) -> sp.csr_matrix:
+        # float32 ones: exact, so a float64 product (scipy upcasts) is
+        # unchanged, and a float32 one stays float32
         m = self.n_edges
-        return sp.csr_matrix((np.ones(m), (index, np.arange(m))), shape=(self.n_nodes, m))
+        return sp.csr_matrix((np.ones(m, dtype=np.float32), (index, np.arange(m))),
+                             shape=(self.n_nodes, m))
 
     @cached_property
     def scatter_src(self) -> sp.csr_matrix:
@@ -141,7 +145,10 @@ def laplacian_apply(g: Graph, u: np.ndarray) -> np.ndarray:
 
     Row i of the result is u_i - sum_{j in N_i} u_j / sqrt(d_i d_j) for
     nodes with neighbors; isolated nodes map to zero rows. Float32 input is
-    applied in float32; the float64 operands are used as they are.
+    applied in float32; the float64 operands are used as they are. The
+    result is the one array ``adj @ u``, overwritten by the difference; the
+    degree mask is applied only where a node is isolated (elsewhere it is
+    exactly 1).
     """
     u = np.asarray(u)
     if u.shape[0] != g.n_nodes:
@@ -149,7 +156,10 @@ def laplacian_apply(g: Graph, u: np.ndarray) -> np.ndarray:
     mask, adj = g._deg_mask, g._adj_norm
     if u.dtype == np.float32:
         mask, adj = mask.astype(np.float32), adj.astype(np.float32)
-    return (mask if u.ndim == 1 else mask[:, None]) * u - adj @ u
+    out = adj @ u
+    if g.has_isolated:
+        u = (mask if u.ndim == 1 else mask[:, None]) * u
+    return np.subtract(u, out, out=out)
 
 
 def laplacian_dense(g: Graph) -> np.ndarray:

@@ -351,7 +351,8 @@ class GcnBaseline(ParameterRegistry):
                 rng: Optional[SeedStream] = None, diagnostics: bool = False):
         p = self.config.get("dropout", 0.0)
         rng = _dropout_rng(rng, train, p > 0)
-        a_hat = g.gcn_adjacency  # symmetric: its own transpose
+        # symmetric: its own transpose; in the working dtype, so float32 stays float32
+        a_hat = g.gcn_adjacency.astype(default_dtype(), copy=False)
         u = ad._as_variable(x)
         stages = [u]
         for conv in self.convs:

@@ -164,21 +164,23 @@ def edge_velocities(g: Graph, u, params: AdvectionParams,
 
     a1 and a2 are applied on node rows and gathered onto edges (the maps
     commute with row selection), which keeps the dense work node-sized.
+    Everything from the gathers to a4 is the one op :func:`ad.edge_scores`,
+    whose record keeps the node-sized a1 and a2 outputs and recomputes the
+    edge-sized values in backward.
+
+    With ``return_prenorm`` the two ReLU(z_ij - z_ji) orientations are also
+    returned, as untaped Variables.
     """
     u = ad._as_variable(u)
-    # edge-sized locals are dropped once read: a tape-free forward then
-    # holds fewer of them at its peak, in the softmax
-    edge_pre = ad.add(ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, params.a1(u)),
-                      ad.fixed_sparse_matmul(g.edge_dst, g.scatter_dst, params.a2(u)))
-    z = params.a3(ad.relu(edge_pre))
-    del edge_pre
-    z_rev = ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, z)
-    asym = ad.relu(ad.subtract(z, z_rev))
-    prenorm = (asym, ad.relu(ad.subtract(z_rev, z))) if return_prenorm else ()
-    pre = params.a4(asym)
-    del z, z_rev, asym
+    a1u, a2u = params.a1(u), params.a2(u)
+    pre = ad.edge_scores(a1u, a2u, params.a3.w, params.a4.w, g.edge_src, g.edge_dst,
+                         g.scatter_src, g.scatter_dst, g.rev_edge)
     v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan))
-    return (v, *prenorm) if return_prenorm else v
+    if not return_prenorm:
+        return v
+    _, asym = ad.edge_asymmetry(a1u.value, a2u.value, params.a3.w.value, g.edge_src,
+                                g.edge_dst, g.rev_edge)
+    return v, Variable(asym), Variable(np.take(asym, g.rev_edge, axis=0))
 
 
 def divergence(g: Graph, v: EdgeVelocities, u) -> Variable:

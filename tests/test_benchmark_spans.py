@@ -16,8 +16,8 @@ from adrgnn.autodiff import Tape, Variable
 from adrgnn.data import TemporalDataset, make_planted_partition, make_transport_task
 from adrgnn.graph import erdos_renyi
 from adrgnn.runtime import philox
-from adrgnn.training import (TrainConfig, train_node_classification, train_temporal,
-                             transport_fit)
+from adrgnn.training import (TrainConfig, train_gcn_baseline, train_node_classification,
+                             train_temporal, transport_fit)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -73,6 +73,9 @@ def test_traced_training_reaches_every_wrapped_stage(tracing):
     tracer.install()
     try:
         train_node_classification(bundle, cfg)
+        # GCN applies ad.fixed_sparse_matmul every layer; this dense-feature
+        # ADR classifier does not
+        train_gcn_baseline(bundle, cfg)
         # the other two training loops share the traced train step
         for run in (lambda: train_temporal(temporal, TrainConfig(epochs=1, layers=1,
                                                                  hidden=4, loss="mse")),

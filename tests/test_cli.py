@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import adrgnn
+from adrgnn import cli
 from adrgnn.cli import main
 from adrgnn.data import (TemporalDataset, make_planted_partition, save_bundle,
                          save_temporal)
@@ -84,6 +86,30 @@ class TestTrainCommand:
                                    "print(blas_threads())"],
             env=env, capture_output=True, text=True, check=True)
         assert child.stdout.strip() == "1"
+
+    @pytest.mark.parametrize("recorded, current, warns", [
+        (2, 4, True), (4, 4, False), (None, 4, False), (2, None, False)])
+    def test_rerun_from_manifest_warns_on_another_blas_thread_count(
+            self, toy_dataset, tmp_path, monkeypatch, caplog, recorded, current, warns):
+        first = tmp_path / "first"
+        assert main(["train", "--dataset", str(toy_dataset), "--out", str(first),
+                     "--config", str(fast_config(tmp_path)), "--splits", "1",
+                     "--epochs", "1"]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["blas_threads"] = recorded
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr(cli, "blas_threads", lambda: current)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="adrgnn.cli"):
+            assert main(["train", "--dataset", str(toy_dataset), "--out",
+                         str(tmp_path / "rerun"), "--config", str(first / "manifest.json"),
+                         "--splits", "1"]) == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "adrgnn.cli"]
+        if warns:
+            assert len(messages) == 1
+            assert "2 BLAS threads" in messages[0] and "has 4" in messages[0]
+        else:
+            assert messages == []
 
     def test_missing_dataset_exits_2_with_path(self, tmp_path, capsys):
         code = main(["train", "--dataset", str(tmp_path / "absent"),

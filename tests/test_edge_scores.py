@@ -1,0 +1,240 @@
+"""The one-record edge-score op against the composition it replaced, the
+tape it leaves, and float32 end to end."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import adrgnn.autodiff as ad
+from adrgnn import operators
+from adrgnn.autodiff import Tape, Variable, backward
+from adrgnn.graph import build_graph, erdos_renyi
+from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline,
+                           broadcast_time_embedding, time_embedding)
+from adrgnn.operators import AdrLayerParams, AdvectionParams, EdgeVelocities, adr_layer
+from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
+
+
+def _graphs():
+    return {
+        # node 3 has no neighbor
+        "isolated_node": build_graph([(0, 1), (1, 2), (2, 0)], 4),
+        # node 0 has degree 4
+        "hub": build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)], 5),
+        "no_edges": build_graph([], 3),
+    }
+
+
+def _reference_edge_scores(g, a1u, a2u, w3, w4):
+    """The nine-record composition: gathers, add, ReLU, a3, reverse gather,
+    subtract, ReLU, a4."""
+    edge_pre = ad.add(ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, a1u),
+                      ad.fixed_sparse_matmul(g.edge_dst, g.scatter_dst, a2u))
+    z = ad.matmul(ad.relu(edge_pre), w3)
+    z_rev = ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, z)
+    return ad.matmul(ad.relu(ad.subtract(z, z_rev)), w4), (z, z_rev)
+
+
+def _reference_edge_velocities(g, u, params, return_prenorm=False):
+    u = ad._as_variable(u)
+    pre, (z, z_rev) = _reference_edge_scores(g, params.a1(u), params.a2(u),
+                                             params.a3.w, params.a4.w)
+    v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan))
+    if return_prenorm:
+        return v, ad.relu(ad.subtract(z, z_rev)), ad.relu(ad.subtract(z_rev, z))
+    return v
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestEdgeScoresBitIdentical:
+    @pytest.mark.parametrize("name", list(_graphs()))
+    def test_value_and_four_gradients(self, name):
+        g = _graphs()[name]
+        gen = philox(70)
+        c = 4
+        inputs = [gen.standard_normal((g.n_nodes, c)), gen.standard_normal((g.n_nodes, c)),
+                  gen.standard_normal((c, c)), gen.standard_normal((c, c))]
+        upstream = Variable(gen.standard_normal((g.n_edges, c)))
+        results = []
+        for fused in (True, False):
+            a1u, a2u, w3, w4 = (Variable(v, requires_grad=True) for v in inputs)
+            with Tape() as tape:
+                if fused:
+                    out = ad.edge_scores(a1u, a2u, w3, w4, g.edge_src, g.edge_dst,
+                                         g.scatter_src, g.scatter_dst, g.rev_edge)
+                else:
+                    out, _ = _reference_edge_scores(g, a1u, a2u, w3, w4)
+                loss = ad.total_sum(ad.hadamard(out, upstream))
+            backward(tape, loss)
+            results.append(([out.value] + [v.grad for v in (a1u, a2u, w3, w4)],
+                            len(tape.records)))
+        (fused, fused_records), (composed, composed_records) = results
+        assert fused_records == composed_records - 8
+        for got, want in zip(fused, composed):
+            assert _same_bytes(got, want)
+
+    @pytest.mark.parametrize("separate", [False, True], ids=["u", "velocity_features"])
+    @pytest.mark.parametrize("name", list(_graphs()))
+    def test_through_the_layer(self, name, separate, monkeypatch):
+        """A whole taped ADR layer, velocities from ``u`` itself (whose
+        gradient then sums several uses) or from ``velocity_features``:
+        output and every gradient equal the nine-record layer's."""
+        g = _graphs()[name]
+        c = 3
+        gen = philox(71)
+        values = [gen.standard_normal((g.n_nodes, c)) for _ in range(3)]
+        upstream = Variable(gen.standard_normal((g.n_nodes, c)))
+        results = []
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(operators, "edge_velocities", _reference_edge_velocities)
+            params = AdrLayerParams.init(c, philox(72))
+            u, u0, feats = (Variable(v, requires_grad=True) for v in values)
+            with Tape() as tape:
+                out = adr_layer(g, u, u0, params, h=0.7, train=True,
+                                velocity_features=feats if separate else None)
+                loss = ad.total_sum(ad.hadamard(out, upstream))
+            backward(tape, loss)
+            wrt = [u, u0, feats] + params.advection.parameters()
+            results.append([out.value] + [v.grad for v in wrt])
+        for got, want in zip(*results):
+            assert _same_bytes(got, want)
+
+    @pytest.mark.parametrize("name", list(_graphs()))
+    def test_prenorm_orientations(self, name):
+        g = _graphs()[name]
+        params = AdvectionParams.init(3, philox(73))
+        u = Variable(philox(74).standard_normal((g.n_nodes, 3)))
+        got = operators.edge_velocities(g, u, params, return_prenorm=True)
+        want = _reference_edge_velocities(g, u, params, return_prenorm=True)
+        assert _same_bytes(got[0].values.value, want[0].values.value)
+        for got_part, want_part in zip(got[1:], want[1:]):
+            assert _same_bytes(got_part.value, want_part.value)
+
+
+def _tape_arrays(tape) -> list[np.ndarray]:
+    """The distinct array buffers a tape keeps alive, found as
+    ``perfbench/tracing.tape_bytes`` finds them: record slots, and arrays in
+    the backward closures (two levels deep)."""
+    buffers: dict[int, np.ndarray] = {}
+
+    def visit(obj, depth: int = 0) -> None:
+        if isinstance(obj, np.ndarray):
+            base = obj
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            buffers[id(base)] = base
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item, depth)
+        elif callable(obj) and depth < 2:
+            for cell in getattr(obj, "__closure__", None) or ():
+                try:
+                    visit(cell.cell_contents, depth + 1)
+                except ValueError:  # empty cell
+                    pass
+        elif isinstance(getattr(obj, "value", None), np.ndarray):
+            visit(obj.value)
+
+    for node, slots, rule in tape.records:
+        visit(node.value)
+        for slot in slots:
+            visit(slot.value)
+        visit(rule)
+    return list(buffers.values())
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_taped_forward_keeps_one_edge_array_per_layer(layers):
+    """Of the edge-sized values of a taped static forward (with dropout),
+    the tape keeps only each layer's velocities."""
+    g = erdos_renyi(40, 0.2, seed=2)
+    hidden = 6
+    assert g.n_edges not in (g.n_nodes, hidden)
+    model = AdrGnnStatic.init(c_in=5, c_out=3, hidden=hidden, layers=layers, h=1.0,
+                              dropout_io=0.5, dropout_hidden=0.3, seed=1)
+    x = philox(3).standard_normal((40, 5))
+    with Tape() as tape:
+        ad.cross_entropy(model.forward(g, x, train=True, rng=SeedStream(4)),
+                         philox(5).integers(0, 3, 40))
+    edge_arrays = [a for a in _tape_arrays(tape) if a.ndim == 2 and a.shape[0] == g.n_edges]
+    assert len(edge_arrays) == layers
+    assert all(a.shape == (g.n_edges, hidden) for a in edge_arrays)
+
+
+@pytest.fixture
+def float32_mode():
+    previous = default_dtype().name
+    set_default_dtype("float32")
+    yield
+    set_default_dtype(previous)
+
+
+def _float32_run(monkeypatch, build_loss, params) -> int:
+    """Tape and backpropagate ``build_loss()``, checking that every op
+    computes a float32 value and every backward rule receives and returns
+    float32 gradients; returns the number of records checked."""
+    seen = []
+    emit = ad._emit
+
+    def checked_emit(out_value, inputs, backward_fn):
+        name = backward_fn.__qualname__
+        seen.append((name, "value", out_value.dtype))
+
+        def rule(g):
+            grads = backward_fn(g)
+            seen.append((name, "upstream", g.dtype))
+            seen.extend((name, "gradient", gi.dtype) for gi in grads if gi is not None)
+            return grads
+
+        return emit(out_value, inputs, rule)
+
+    monkeypatch.setattr(ad, "_emit", checked_emit)
+    for p in params:
+        p.zero_grad()
+    with Tape() as tape:
+        loss = build_loss()
+    backward(tape, loss)
+    monkeypatch.setattr(ad, "_emit", emit)
+    assert [s for s in seen if s[2] != np.float32] == []
+    assert all(p.grad.dtype == np.float32 for p in params)
+    return len(tape.records)
+
+
+@pytest.mark.usefixtures("float32_mode")
+class TestFloat32Tape:
+    def test_static_with_dropout(self, monkeypatch):
+        g = erdos_renyi(30, 0.2, seed=1)
+        model = AdrGnnStatic.init(c_in=5, c_out=3, hidden=8, layers=2, h=1.0,
+                                  dropout_io=0.5, dropout_hidden=0.3, seed=2)
+        x, labels = philox(3).standard_normal((30, 5)), philox(4).integers(0, 3, 30)
+        records = _float32_run(monkeypatch, lambda: ad.cross_entropy(
+            model.forward(g, x, train=True, rng=SeedStream(5)), labels),
+            list(model.named_parameters().values()))
+        assert records > 40
+
+    def test_temporal(self, monkeypatch):
+        g = erdos_renyi(6, 0.6, seed=2)
+        model = AdrGnnTemporal.init(c_in=1, c_out=1, hidden=4, layers=2, h=0.5, tau_in=2,
+                                    tau_out=1, n_frequencies=2, dropout_io=0.2,
+                                    dropout_hidden=0.2, seed=3)
+        x = philox(5).standard_normal((6, 2))
+        emb = broadcast_time_embedding(time_embedding([0.0, 1.0], 2), 6)
+        target = philox(6).standard_normal((6, 1))
+        records = _float32_run(monkeypatch, lambda: ad.mse(
+            model.forward(g, x, emb, train=True, rng=SeedStream(7)), target),
+            list(model.named_parameters().values()))
+        assert records > 40
+
+    def test_gcn(self, monkeypatch):
+        g = erdos_renyi(30, 0.2, seed=1)
+        model = GcnBaseline.init(c_in=5, c_out=3, hidden=8, layers=2, dropout=0.3, seed=2)
+        x, labels = philox(3).standard_normal((30, 5)), philox(4).integers(0, 3, 30)
+        records = _float32_run(monkeypatch, lambda: ad.cross_entropy(
+            model.forward(g, x, train=True, rng=SeedStream(5)), labels),
+            list(model.named_parameters().values()))
+        assert records > 5

@@ -103,6 +103,22 @@ class TestLaplacian:
         np.testing.assert_array_equal(laplacian_apply(g, u),
                                       g._deg_mask[:, None] * u - g._adj_norm @ u)
 
+    @pytest.mark.parametrize("edges, n, isolated", [
+        ([(0, 1), (1, 2), (2, 3), (0, 3)], 4, False),
+        ([(0, 1), (1, 2), (4, 5)], 7, True),
+        ([], 3, True)])
+    def test_bytes_equal_masked_difference(self, edges, n, isolated):
+        """One result array, masked only where a node is isolated, gives the
+        bytes of mask * u - adj @ u (negative zeros of isolated rows included)."""
+        g = build_graph(edges, n)
+        assert g.has_isolated is isolated
+        u = philox(7).standard_normal((n, 3))
+        for x in (u, u[:, 0], -np.abs(u)):
+            mask = g._deg_mask if x.ndim == 1 else g._deg_mask[:, None]
+            want = mask * x - g._adj_norm @ x
+            got = laplacian_apply(g, x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_shape_mismatch(self, path2):
         with pytest.raises(ValueError, match="rows"):
             laplacian_apply(path2, np.zeros((3, 1)))
