@@ -100,12 +100,13 @@ class Tape:
     produced it, the input itself if it is a requires_grad leaf, and the
     shared ``_CONSTANT`` node otherwise. No slot holds an intermediate's
     value: the tape keeps alive only the leaves and what the rules capture.
-    Records survive :func:`backward`, so it can run again on the same tape.
-    One tape is active at a time.
+    :func:`backward` replaces each rule with ``None`` as soon as it has run,
+    which frees what the rule captured; the records stay, so a tape is
+    backpropagated once. One tape is active at a time.
     """
 
     def __init__(self):
-        self.records: list[tuple[_Node, tuple, Callable]] = []
+        self.records: list[tuple[_Node, tuple, Optional[Callable]]] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -145,14 +146,23 @@ def _emit(out_value: np.ndarray, inputs: tuple[Variable, ...], backward_fn: Call
 def backward(tape: Tape, loss: Variable) -> None:
     """Accumulate d(loss)/d(v) into v.grad for every requires_grad Variable.
 
-    Repeated calls without zero_grad add up, which is what parameter
-    sharing across layers relies on.
+    Gradients of successive tapes add up until zero_grad, which is what
+    parameter sharing across layers relies on. Each record's rule is
+    released once it has run (before the next one runs), so the peak is not
+    the whole tape plus the largest rule's temporaries; a tape that was
+    already backpropagated raises ``RuntimeError``.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     # keyed by record slot: the tape keeps every key alive, so none is reused
     grads: dict = {loss.node or loss: np.ones_like(loss.value)}
-    for node, slots, backward_fn in reversed(tape.records):
+    records = tape.records
+    for i in range(len(records) - 1, -1, -1):
+        node, slots, backward_fn = records[i]
+        if backward_fn is None:
+            raise RuntimeError("backward: this tape was already backpropagated; "
+                               "tape the loss again")
+        records[i] = (node, slots, None)
         g = grads.pop(node, None)
         if g is None:
             continue
@@ -230,21 +240,26 @@ def matmul(a, b, bias=None) -> Variable:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.value.shape} @ {b.value.shape}")
     av, bv = a.value, b.value
-    out = av @ bv
     if bias is None:
         def bwd(g):
             return g @ bv.T, av.T @ g
 
-        return _emit(out, (a, b), bwd)
+        return _emit(av @ bv, (a, b), bwd)
     bias = _as_variable(bias)
     if bias.value.shape != (bv.shape[1],):
         raise ValueError(f"matmul: bias of shape {bias.value.shape} for {bv.shape[1]} columns")
-    out += bias.value
 
     def bwd_bias(g):
         return g @ bv.T, av.T @ g, g.sum(axis=0)
 
-    return _emit(out, (a, b, bias), bwd_bias)
+    return _emit(_affine(av, bv, bias.value), (a, b, bias), bwd_bias)
+
+
+def _affine(u: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``u @ w + b``, the product of :func:`matmul` with a bias, untaped."""
+    out = u @ w
+    out += b
+    return out
 
 
 def add(a, b) -> Variable:
@@ -463,20 +478,25 @@ def edge_asymmetry(a1u: np.ndarray, a2u: np.ndarray, w3: np.ndarray,
     return hidden, asym
 
 
-def edge_scores(a1u, a2u, w3, w4, src, dst, scatter_src, scatter_dst, rev) -> Variable:
-    """Pre-softmax edge scores ``edge_asymmetry(...)[1] @ w4`` as one op.
+def edge_scores(u, w1, b1, w2, b2, w3, w4, src, dst, scatter_src, scatter_dst, rev) -> Variable:
+    """Pre-softmax edge scores ``edge_asymmetry(a1u, a2u, w3, ...)[1] @ w4``
+    as one op, for the node maps ``a1u = u @ w1 + b1`` and
+    ``a2u = u @ w2 + b2``.
 
-    ``a1u`` and ``a2u`` are node rows gathered onto edges by ``src`` and
-    ``dst``, whose transposes are ``scatter_src`` and ``scatter_dst``;
-    ``rev`` is the reverse-edge involution. The record keeps only the
-    node-sized inputs and the two weights: backward recomputes the
-    edge-sized values (Chen et al. 2016, arXiv 1604.06174)."""
-    a1u, a2u, w3, w4 = (_as_variable(v) for v in (a1u, a2u, w3, w4))
-    a1v, a2v, w3v, w4v = a1u.value, a2u.value, w3.value, w4.value
-    _, asym = edge_asymmetry(a1v, a2v, w3v, src, dst, rev)
+    The node maps are gathered onto edges by ``src`` and ``dst``, whose
+    transposes are ``scatter_src`` and ``scatter_dst``; ``rev`` is the
+    reverse-edge involution. The record keeps only ``u`` and the weights:
+    backward recomputes the node maps and the edge-sized values (Chen et al.
+    2016, arXiv 1604.06174). ``u`` is listed twice among the inputs, for
+    the a2 and then the a1 map, so its gradient sums the two parts in the
+    order two separate ``matmul`` records would give them."""
+    u, w1, b1, w2, b2, w3, w4 = (_as_variable(v) for v in (u, w1, b1, w2, b2, w3, w4))
+    uv, w1v, b1v, w2v, b2v, w3v, w4v = (v.value for v in (u, w1, b1, w2, b2, w3, w4))
+    _, asym = edge_asymmetry(_affine(uv, w1v, b1v), _affine(uv, w2v, b2v), w3v, src, dst, rev)
 
     def bwd(g):
-        hidden, asym = edge_asymmetry(a1v, a2v, w3v, src, dst, rev)
+        hidden, asym = edge_asymmetry(_affine(uv, w1v, b1v), _affine(uv, w2v, b2v), w3v,
+                                      src, dst, rev)
         g_w4 = asym.T @ g
         g_d = g @ w4v.T
         g_d *= asym > 0
@@ -486,9 +506,12 @@ def edge_scores(a1u, a2u, w3, w4, src, dst, scatter_src, scatter_dst, rev) -> Va
         g_w3 = hidden.T @ g_z
         g_hidden = g_z @ w3v.T
         g_hidden *= hidden > 0
-        return scatter_src @ g_hidden, scatter_dst @ g_hidden, g_w3, g_w4
+        del hidden, g_z
+        g1, g2 = scatter_src @ g_hidden, scatter_dst @ g_hidden
+        return (g2 @ w2v.T, g1 @ w1v.T, uv.T @ g1, g1.sum(axis=0), uv.T @ g2, g2.sum(axis=0),
+                g_w3, g_w4)
 
-    return _emit(asym @ w4v, (a1u, a2u, w3, w4), bwd)
+    return _emit(asym @ w4v, (u, u, w1, b1, w2, b2, w3, w4), bwd)
 
 
 def total_sum(x) -> Variable:

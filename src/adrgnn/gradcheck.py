@@ -68,6 +68,9 @@ def primitive_checks(seed: int = 0) -> list[dict]:
     gamma = Variable(rng.uniform(0.5, 1.5, c), requires_grad=True)
     beta = Variable(rng.standard_normal(c), requires_grad=True)
     w2 = Variable(rng.standard_normal((c, c)), requires_grad=True)
+    w3 = Variable(rng.standard_normal((c, c)), requires_grad=True)
+    w4 = Variable(rng.standard_normal((c, c)), requires_grad=True)
+    bias2 = Variable(rng.standard_normal(c), requires_grad=True)
     bn_state = BatchNormState.zeros(c)
 
     cases = {
@@ -96,8 +99,9 @@ def primitive_checks(seed: int = 0) -> list[dict]:
             ad.weighted_transport(edge_vals, x, g.edge_src, g.scatter_src, g.scatter_dst,
                                   g.edge_dst), philox(seed + 23)), [edge_vals, x]),
         "edge_scores": (lambda: _weighted_sum(
-            ad.edge_scores(x, y, w, w2, g.edge_src, g.edge_dst, g.scatter_src, g.scatter_dst,
-                           g.rev_edge), philox(seed + 24)), [x, y, w, w2]),
+            ad.edge_scores(x, w, bias, w2, bias2, w3, w4, g.edge_src, g.edge_dst,
+                           g.scatter_src, g.scatter_dst, g.rev_edge), philox(seed + 24)),
+            [x, w, bias, w2, bias2, w3, w4]),
         "segment_softmax": (lambda: _weighted_sum(
             ad.segment_softmax(edge_vals, g.edge_src, g.scatter_src, g.max_plan),
             philox(seed + 16)), [edge_vals]),

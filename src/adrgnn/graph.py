@@ -27,8 +27,9 @@ class Graph:
     edge to its reverse orientation; it is an involution, so gathering by
     it is its own transpose. The constant operators built from the edge
     list (``scatter_src``, ``scatter_dst``, ``max_plan``,
-    ``gcn_adjacency``) are built on first use and cached. Instances are
-    immutable after construction and safe to share across threads.
+    ``laplacian_float32``, ``gcn_adjacency``) are built on first use and
+    cached. Instances are immutable after construction and safe to share
+    across threads.
     """
 
     def __init__(self, n_nodes: int, edge_src: np.ndarray, edge_dst: np.ndarray):
@@ -92,6 +93,12 @@ class Graph:
         return segment_max_plan(self.out_indptr)
 
     @cached_property
+    def laplacian_float32(self) -> tuple:
+        """The degree mask and the normalized adjacency cast to float32, the
+        operands :func:`laplacian_apply` uses on float32 input."""
+        return self._deg_mask.astype(np.float32), self._adj_norm.astype(np.float32)
+
+    @cached_property
     def gcn_adjacency(self) -> sp.csr_matrix:
         """Self-loop renormalized adjacency D^{-1/2}(A + I)D^{-1/2}; symmetric."""
         a = self._adj + sp.eye(self.n_nodes, format="csr")
@@ -145,17 +152,15 @@ def laplacian_apply(g: Graph, u: np.ndarray) -> np.ndarray:
 
     Row i of the result is u_i - sum_{j in N_i} u_j / sqrt(d_i d_j) for
     nodes with neighbors; isolated nodes map to zero rows. Float32 input is
-    applied in float32; the float64 operands are used as they are. The
-    result is the one array ``adj @ u``, overwritten by the difference; the
-    degree mask is applied only where a node is isolated (elsewhere it is
-    exactly 1).
+    applied with the graph's cached float32 operands; the float64 operands
+    are used as they are. The result is the one array ``adj @ u``,
+    overwritten by the difference; the degree mask is applied only where a
+    node is isolated (elsewhere it is exactly 1).
     """
     u = np.asarray(u)
     if u.shape[0] != g.n_nodes:
         raise ValueError(f"feature rows {u.shape[0]} != n_nodes {g.n_nodes}")
-    mask, adj = g._deg_mask, g._adj_norm
-    if u.dtype == np.float32:
-        mask, adj = mask.astype(np.float32), adj.astype(np.float32)
+    mask, adj = g.laplacian_float32 if u.dtype == np.float32 else (g._deg_mask, g._adj_norm)
     out = adj @ u
     if g.has_isolated:
         u = (mask if u.ndim == 1 else mask[:, None]) * u

@@ -54,7 +54,8 @@ def _input_linear(x, lin: Linear, p_io: float, train: bool, rng) -> Variable:
     """Dropout followed by the embedding layer, with a CSR fast path."""
     if isinstance(x, SparseFeatures):
         mat = x.dropout(p_io, rng.child()) if (train and p_io > 0) else x.csr
-        y = ad.fixed_sparse_matmul(mat, mat.T.tocsr(), lin.w)
+        # the CSC view mat.T is the backward operand: no transpose is built
+        y = ad.fixed_sparse_matmul(mat, mat.T, lin.w)
         return ad.add(y, lin.b) if lin.b is not None else y
     x = ad._as_variable(x)
     if train and p_io > 0:

@@ -164,22 +164,23 @@ def edge_velocities(g: Graph, u, params: AdvectionParams,
 
     a1 and a2 are applied on node rows and gathered onto edges (the maps
     commute with row selection), which keeps the dense work node-sized.
-    Everything from the gathers to a4 is the one op :func:`ad.edge_scores`,
-    whose record keeps the node-sized a1 and a2 outputs and recomputes the
-    edge-sized values in backward.
+    Everything from the a1 and a2 maps to a4 is the one op
+    :func:`ad.edge_scores`, whose record keeps ``u`` and the weights and
+    recomputes the node maps and the edge-sized values in backward.
 
     With ``return_prenorm`` the two ReLU(z_ij - z_ji) orientations are also
     returned, as untaped Variables.
     """
     u = ad._as_variable(u)
-    a1u, a2u = params.a1(u), params.a2(u)
-    pre = ad.edge_scores(a1u, a2u, params.a3.w, params.a4.w, g.edge_src, g.edge_dst,
-                         g.scatter_src, g.scatter_dst, g.rev_edge)
+    a1, a2 = params.a1, params.a2
+    pre = ad.edge_scores(u, a1.w, a1.b, a2.w, a2.b, params.a3.w, params.a4.w, g.edge_src,
+                         g.edge_dst, g.scatter_src, g.scatter_dst, g.rev_edge)
     v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan))
     if not return_prenorm:
         return v
-    _, asym = ad.edge_asymmetry(a1u.value, a2u.value, params.a3.w.value, g.edge_src,
-                                g.edge_dst, g.rev_edge)
+    a1u, a2u = (ad._affine(u.value, lin.w.value, lin.b.value) for lin in (a1, a2))
+    _, asym = ad.edge_asymmetry(a1u, a2u, params.a3.w.value, g.edge_src, g.edge_dst,
+                                g.rev_edge)
     return v, Variable(asym), Variable(np.take(asym, g.rev_edge, axis=0))
 
 

@@ -102,13 +102,59 @@ class TestBackwardSemantics:
 
     def test_gradients_accumulate_across_backward_calls(self):
         x = Variable(np.array([2.0]), requires_grad=True)
-        with Tape() as tape:
-            loss = ad.total_sum(ad.hadamard(x, x))
-        backward(tape, loss)
-        backward(tape, loss)
+        for _ in range(2):
+            with Tape() as tape:
+                loss = ad.total_sum(ad.hadamard(x, x))
+            backward(tape, loss)
         np.testing.assert_allclose(x.grad, [8.0])
         x.zero_grad()
         np.testing.assert_allclose(x.grad, [0.0])
+
+    def test_backward_releases_every_rule_and_keeps_the_records(self):
+        g = erdos_renyi(12, 0.4, seed=3)
+        model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=2, h=0.5,
+                                  dropout_io=0.2, seed=2)
+        with Tape() as tape:
+            out = model.forward(g, philox(4).standard_normal((12, 3)), train=True,
+                                rng=SeedStream(0))
+            loss = ad.cross_entropy(out, np.arange(12) % 2)
+        count = len(tape.records)
+        assert all(rule is not None for _node, _slots, rule in tape.records)
+        backward(tape, loss)
+        assert len(tape.records) == count
+        assert all(rule is None for _node, _slots, rule in tape.records)
+
+    def test_a_rule_is_released_before_the_next_one_runs(self):
+        """What a rule captured is freed as soon as it has run: the earlier
+        rule no longer sees the later rule's captured mask."""
+        x = Variable(philox(1).standard_normal((5, 3)), requires_grad=True)
+        with Tape() as tape:
+            y = ad.relu(x)
+            loss = ad.total_sum(ad.dropout(y, 0.5, True, 7))
+        dropout_rule = tape.records[1][2]
+        mask = next(c.cell_contents for c in dropout_rule.__closure__
+                    if isinstance(c.cell_contents, np.ndarray))
+        alive = weakref.ref(mask)
+        del dropout_rule, mask
+        node, slots, relu_rule = tape.records[0]
+        seen = []
+
+        def watching(g):
+            seen.append(alive())
+            return relu_rule(g)
+
+        tape.records[0] = (node, slots, watching)
+        backward(tape, loss)
+        assert seen == [None]
+
+    def test_second_backward_on_one_tape_raises(self):
+        x = Variable(np.array([2.0]), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.total_sum(ad.hadamard(x, x))
+        backward(tape, loss)
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            backward(tape, loss)
+        np.testing.assert_allclose(x.grad, [4.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Variable(np.zeros((2, 2)), requires_grad=True)

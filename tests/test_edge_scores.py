@@ -26,11 +26,11 @@ def _graphs():
     }
 
 
-def _reference_edge_scores(g, a1u, a2u, w3, w4):
-    """The nine-record composition: gathers, add, ReLU, a3, reverse gather,
-    subtract, ReLU, a4."""
-    edge_pre = ad.add(ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, a1u),
-                      ad.fixed_sparse_matmul(g.edge_dst, g.scatter_dst, a2u))
+def _reference_edge_scores(g, u, a1, a2, w3, w4):
+    """The eleven-record composition: the a1 and a2 maps, gathers, add,
+    ReLU, a3, reverse gather, subtract, ReLU, a4."""
+    edge_pre = ad.add(ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, a1(u)),
+                      ad.fixed_sparse_matmul(g.edge_dst, g.scatter_dst, a2(u)))
     z = ad.matmul(ad.relu(edge_pre), w3)
     z_rev = ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, z)
     return ad.matmul(ad.relu(ad.subtract(z, z_rev)), w4), (z, z_rev)
@@ -38,8 +38,8 @@ def _reference_edge_scores(g, a1u, a2u, w3, w4):
 
 def _reference_edge_velocities(g, u, params, return_prenorm=False):
     u = ad._as_variable(u)
-    pre, (z, z_rev) = _reference_edge_scores(g, params.a1(u), params.a2(u),
-                                             params.a3.w, params.a4.w)
+    pre, (z, z_rev) = _reference_edge_scores(g, u, params.a1, params.a2, params.a3.w,
+                                             params.a4.w)
     v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan))
     if return_prenorm:
         return v, ad.relu(ad.subtract(z, z_rev)), ad.relu(ad.subtract(z_rev, z))
@@ -53,27 +53,35 @@ def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
 class TestEdgeScoresBitIdentical:
     @pytest.mark.parametrize("name", list(_graphs()))
     def test_value_and_four_gradients(self, name):
+        """Output and the gradients of u and of the four maps: a1 and a2
+        (weight and bias), a3 and a4, with u also used outside the op."""
         g = _graphs()[name]
         gen = philox(70)
         c = 4
-        inputs = [gen.standard_normal((g.n_nodes, c)), gen.standard_normal((g.n_nodes, c)),
-                  gen.standard_normal((c, c)), gen.standard_normal((c, c))]
+        u_value = gen.standard_normal((g.n_nodes, c))
         upstream = Variable(gen.standard_normal((g.n_edges, c)))
+        outside = Variable(gen.standard_normal((g.n_nodes, c)))
+        biases = gen.standard_normal((2, c))
         results = []
         for fused in (True, False):
-            a1u, a2u, w3, w4 = (Variable(v, requires_grad=True) for v in inputs)
+            params = AdvectionParams.init(c, philox(75))
+            a1, a2 = params.a1, params.a2
+            a1.b.value[:], a2.b.value[:] = biases  # nonzero, so their use is checked
+            u = Variable(u_value, requires_grad=True)
             with Tape() as tape:
                 if fused:
-                    out = ad.edge_scores(a1u, a2u, w3, w4, g.edge_src, g.edge_dst,
-                                         g.scatter_src, g.scatter_dst, g.rev_edge)
+                    out = ad.edge_scores(u, a1.w, a1.b, a2.w, a2.b, params.a3.w, params.a4.w,
+                                         g.edge_src, g.edge_dst, g.scatter_src, g.scatter_dst,
+                                         g.rev_edge)
                 else:
-                    out, _ = _reference_edge_scores(g, a1u, a2u, w3, w4)
-                loss = ad.total_sum(ad.hadamard(out, upstream))
+                    out, _ = _reference_edge_scores(g, u, a1, a2, params.a3.w, params.a4.w)
+                loss = ad.add(ad.total_sum(ad.hadamard(out, upstream)),
+                              ad.total_sum(ad.hadamard(u, outside)))
             backward(tape, loss)
-            results.append(([out.value] + [v.grad for v in (a1u, a2u, w3, w4)],
+            results.append(([out.value, u.grad] + [p.grad for p in params.parameters()],
                             len(tape.records)))
         (fused, fused_records), (composed, composed_records) = results
-        assert fused_records == composed_records - 8
+        assert fused_records == composed_records - 10
         for got, want in zip(fused, composed):
             assert _same_bytes(got, want)
 

@@ -103,6 +103,22 @@ class TestLaplacian:
         np.testing.assert_array_equal(laplacian_apply(g, u),
                                       g._deg_mask[:, None] * u - g._adj_norm @ u)
 
+    def test_float32_operands_cast_once(self):
+        """Float32 calls read only the graph's one cached cast of the
+        operands and give the bytes of a cast made for the call."""
+        g = build_graph([(0, 1), (1, 2), (4, 5)], 7)
+        u = philox(6).standard_normal((7, 3)).astype(np.float32)
+        inputs = (u, u[:, 0], -u)
+        mask, adj = g._deg_mask.astype(np.float32), g._adj_norm.astype(np.float32)
+        wants = [(mask if x.ndim == 1 else mask[:, None]) * x - adj @ x for x in inputs]
+        operands = g.laplacian_float32
+        assert [a.dtype for a in operands] == [np.float32, np.float32]
+        g._deg_mask = g._adj_norm = None  # a cast per call would fail
+        for x, want in zip(inputs, wants):
+            got = laplacian_apply(g, x)
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert g.laplacian_float32 is operands
+
     @pytest.mark.parametrize("edges, n, isolated", [
         ([(0, 1), (1, 2), (2, 3), (0, 3)], 4, False),
         ([(0, 1), (1, 2), (4, 5)], 7, True),

@@ -126,6 +126,40 @@ class TestStaticForward:
         out_b = model.forward(g, SparseFeatures(x), train=True, rng=SeedStream(3)).value
         np.testing.assert_array_equal(out_a, out_b)
 
+    def test_sparse_input_gradient_uses_the_transpose_view(self, monkeypatch):
+        """The embedding's backward multiplies by the CSC view ``mat.T`` of
+        the dropped-out CSR input, which shares its arrays, and gives the
+        bytes of a built CSR transpose."""
+        import scipy.sparse as sp
+        from adrgnn.models import SparseFeatures
+        g = erdos_renyi(40, 0.1, seed=50)
+        x = philox(51).random((40, 200))
+        x[x > 0.03] = 0.0
+        model = AdrGnnStatic.init(c_in=200, c_out=3, hidden=8, layers=2, h=0.8,
+                                  dropout_io=0.4, seed=52)
+        labels = np.arange(40) % 3
+        fixed = ad.fixed_sparse_matmul
+        views = []
+
+        def grad_of_embedding(csr_transpose: bool) -> bytes:
+            def spy(matrix, matrix_t, v):
+                if sp.issparse(matrix):
+                    views.append(np.shares_memory(matrix.data, matrix_t.data))
+                    if csr_transpose:
+                        matrix_t = matrix_t.tocsr()
+                return fixed(matrix, matrix_t, v)
+
+            monkeypatch.setattr(ad, "fixed_sparse_matmul", spy)
+            model.g_in.w.zero_grad()
+            with ad.Tape() as tape:
+                loss = ad.cross_entropy(model.forward(g, SparseFeatures(x), train=True,
+                                                      rng=SeedStream(3)), labels)
+            ad.backward(tape, loss)
+            return model.g_in.w.grad.tobytes()
+
+        assert grad_of_embedding(False) == grad_of_embedding(True)
+        assert views == [True, True]
+
     def test_mass_conservation_with_advection_only_layers(self):
         g = erdos_renyi(10, 0.5, seed=13)
         model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=3, h=1.0, seed=14)
