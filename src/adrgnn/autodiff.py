@@ -347,13 +347,14 @@ def hardtanh(x, lo: float, hi: float) -> Variable:
     return _emit(np.clip(x.value, lo, hi), (x,), bwd)
 
 
-def dropout(x, p: float, train: bool, rng) -> Variable:
-    """Inverted dropout: retained entries scaled by 1/(1-p) in training,
-    identity at evaluation. ``rng`` is an integer seed or a Generator."""
+def dropout(x, p: float, rng) -> Variable:
+    """Inverted dropout: retained entries scaled by 1/(1-p); the identity at
+    p = 0. ``rng`` is an integer seed or a Generator. Evaluation-mode
+    forwards do not call it (see ``models._dropout``)."""
     x = _as_variable(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p={p} outside [0, 1)")
-    if not train or p == 0.0:
+    if p == 0.0:
         return x
     if not isinstance(rng, np.random.Generator):
         rng = philox(int(rng))

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import multiprocessing
 import sys
 import time
 from dataclasses import replace
@@ -27,7 +28,7 @@ from .gradcheck import run_all_checks
 from .models import save_checkpoint
 from .operators import splitting_error_study
 from .runtime import blas_threads, philox
-from .training import (TrainConfig, TrainingDiverged, ablation_study,
+from .training import (TrainConfig, TrainingDiverged, TrainResult, ablation_study,
                        aggregate_metrics, depth_energy_study, evaluate,
                        evaluate_temporal, train_node_classification,
                        train_temporal, transport_fit)
@@ -38,6 +39,15 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# The TrainConfig fields that train, energy and ablate take as flags, with
+# their types; the flag of dropout_io is --dropout-io.
+TRAIN_FLAGS = {"seed": int, "epochs": int, "patience": int, "layers": int, "hidden": int,
+               "h": float, "terms": str, "loss": str, "dropout_io": float,
+               "dropout_hidden": float, "cg_iterations": int}
+# train's own options and their defaults; its manifest records them as
+# "run_options", and a rerun from that manifest takes those not given as flags
+RUN_OPTIONS = {"splits": None, "normalize": "per_node"}
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -59,13 +69,15 @@ class RunManifest:
     a run can be reproduced from the manifest alone."""
 
     def __init__(self, out_dir: Path, command: str, config: dict, seed: int,
-                 dataset_path=None):
+                 dataset_path=None, run_options=None):
+        out_dir.mkdir(parents=True, exist_ok=True)
         self.path = out_dir / "manifest.json"
         self.payload = {
             "schema": "adrgnn-run-v1",
             "command": command,
             "artifact_version": __version__,
             "resolved_config": config,
+            "run_options": run_options or {},
             "seed": seed,
             "blas_threads": blas_threads(),
             "dataset": None,
@@ -89,43 +101,31 @@ class RunManifest:
         self.write()
 
 
-def _load_config(args) -> TrainConfig:
-    data = {}
+def _load_config(args) -> tuple[TrainConfig, dict]:
+    """The config of ``--config`` with the flags given applied, and the run
+    options a previous run manifest recorded ({} for a plain config)."""
+    data, recorded = {}, {}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
         # Accept a previous run manifest for exact reruns.
         if "resolved_config" in raw:
             # float64 bytes depend on the BLAS thread count
-            recorded, current = raw.get("blas_threads"), blas_threads()
-            if None not in (recorded, current) and recorded != current:
+            threads, current = raw.get("blas_threads"), blas_threads()
+            if None not in (threads, current) and threads != current:
                 logger.warning("manifest %s was run with %d BLAS threads, this run has %d; "
                                "results may differ in the last bits",
-                               args.config, recorded, current)
-            raw = raw["resolved_config"]
+                               args.config, threads, current)
+            recorded, raw = raw.get("run_options", {}), raw["resolved_config"]
         data = raw
-    cfg = TrainConfig.from_dict(data)
-    overrides = {}
-    for key in ("epochs", "patience", "layers", "hidden", "h", "terms", "loss",
-                "dropout_io", "dropout_hidden", "cg_iterations"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    overrides = {key: getattr(args, key) for key in TRAIN_FLAGS if getattr(args, key) is not None}
+    return replace(TrainConfig.from_dict(data), **overrides), recorded
 
 
-def _train_split_worker(payload: tuple) -> tuple:
+def _train_split_worker(payload: tuple) -> TrainResult:
     """Process-pool worker: fully independent, seeded train of one split."""
     dataset_path, cfg_dict, split = payload
-    from .training import train_node_classification
-    bundle = load_graph_dataset(dataset_path)
-    cfg = TrainConfig.from_dict(cfg_dict)
-    result = train_node_classification(bundle, cfg, split_index=split)
-    history = [{"split": split, **record} for record in result.history]
-    return split, result.metrics, history, result.best_epoch
+    return train_node_classification(load_graph_dataset(dataset_path),
+                                     TrainConfig.from_dict(cfg_dict), split_index=split)
 
 
 def _metrics_rows(dataset_name: str, results, seed: int) -> list[list]:
@@ -154,59 +154,43 @@ def _split_count(text: str) -> int | None:
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _load_config(args)
-    manifest = RunManifest(out_dir, "train", cfg.to_dict(), cfg.seed, args.dataset)
+    cfg, recorded = _load_config(args)
+    # a flag given wins over the rerun manifest's record, and that over the default
+    options = {key: getattr(args, key, recorded.get(key, default))
+               for key, default in RUN_OPTIONS.items()}
+    manifest = RunManifest(out_dir, "train", cfg.to_dict(), cfg.seed, args.dataset, options)
     kind = json.loads(_resolve_manifest(args.dataset)[0].read_text())["kind"]
     history_records: list[dict] = []
     if kind == "node_classification":
         bundle = load_graph_dataset(args.dataset)
-        indices = list(range(len(bundle.splits)))[:args.splits]
-        # split 0 runs in-process (it provides checkpoint.bin); the rest may
-        # fan out to worker processes, each independently seeded per split
-        first = train_node_classification(bundle, cfg, split_index=indices[0])
-        outcomes = [(indices[0], first.metrics,
-                     [{"split": indices[0], **r} for r in first.history], first.best_epoch)]
-        rest = indices[1:]
-        if rest and args.workers > 1:
-            import multiprocessing
-            payloads = [(str(args.dataset), cfg.to_dict(), s) for s in rest]
-            with multiprocessing.Pool(min(args.workers, len(rest))) as pool:
-                outcomes += pool.map(_train_split_worker, payloads)
+        indices = list(range(len(bundle.splits)))[:options["splits"]]
+        # each split is seeded by its index, so a worker process trains it
+        # exactly as this process would
+        if args.workers > 1 and len(indices) > 1:
+            payloads = [(str(args.dataset), cfg.to_dict(), s) for s in indices]
+            with multiprocessing.Pool(min(args.workers, len(indices))) as pool:
+                runs = pool.map(_train_split_worker, payloads)
         else:
-            for split in rest:
-                result = train_node_classification(bundle, cfg, split_index=split)
-                outcomes.append((split, result.metrics,
-                                 [{"split": split, **r} for r in result.history],
-                                 result.best_epoch))
-        outcomes.sort(key=lambda item: item[0])
-        results = []
-        for split, metrics, history, best_epoch in outcomes:
-            results.append(metrics)
-            history_records.extend(history)
-            print(f"split {split}: test accuracy {metrics.accuracy:.4f} "
-                  f"(best epoch {best_epoch})")
-        rows = _metrics_rows(bundle.name, results, cfg.seed)
-        save_checkpoint(out_dir / "checkpoint.bin", first.model)
+            runs = [train_node_classification(bundle, cfg, split_index=s) for s in indices]
+        for split, run in zip(indices, runs):
+            history_records += [{"split": split, **record} for record in run.history]
+            print(f"split {split}: test accuracy {run.metrics.accuracy:.4f} "
+                  f"(best epoch {run.best_epoch})")
+        name = bundle.name
     elif kind == "temporal":
         dataset = load_temporal_dataset(args.dataset)
-        if args.normalize != "none":
-            dataset, _inv = normalize_series(dataset, scheme=args.normalize)
-        repetitions = args.splits or 10
-        results = []
-        checkpoint_model = None
-        for rep in range(repetitions):
-            result = train_temporal(dataset, replace(cfg, seed=cfg.seed + rep))
-            results.append(result.metrics)
-            for record in result.history:
-                history_records.append({"repetition": rep, **record})
-            print(f"repetition {rep}: test MSE {result.metrics.mse:.4f}")
-            if checkpoint_model is None:
-                checkpoint_model = result.model
-        rows = _metrics_rows(dataset.name, results, cfg.seed)
-        save_checkpoint(out_dir / "checkpoint.bin", checkpoint_model)
+        if options["normalize"] != "none":
+            dataset, _inv = normalize_series(dataset, scheme=options["normalize"])
+        runs = []
+        for rep in range(options["splits"] or 10):
+            runs.append(train_temporal(dataset, replace(cfg, seed=cfg.seed + rep)))
+            history_records += [{"repetition": rep, **record} for record in runs[-1].history]
+            print(f"repetition {rep}: test MSE {runs[-1].metrics.mse:.4f}")
+        name = dataset.name
     else:
         raise DataFormatError("/kind", f"unsupported dataset kind {kind!r}")
+    rows = _metrics_rows(name, [run.metrics for run in runs], cfg.seed)
+    save_checkpoint(out_dir / "checkpoint.bin", runs[0].model)
     _write_csv(out_dir / "metrics.csv", ["dataset", "split", "seed", "metric", "value"], rows)
     _write_jsonl(out_dir / "metrics.jsonl", history_records)
     manifest.finish(["metrics.csv", "metrics.jsonl", "checkpoint.bin"])
@@ -228,7 +212,6 @@ def cmd_eval(args) -> int:
     print(json.dumps(metrics.to_dict(), sort_keys=True))
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest(out_dir, "eval", {"split": args.split, "part": args.part},
                                0, args.dataset)
         rows = [[name, args.split, 0, metric, float(value)]
@@ -240,7 +223,6 @@ def cmd_eval(args) -> int:
 
 def cmd_transport(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = {"n": args.n, "p": args.p, "sources": args.sources, "terms": args.terms,
               "layers": args.layers, "epochs": args.epochs, "lr": args.lr,
               "channels": args.channels}
@@ -268,8 +250,7 @@ def cmd_transport(args) -> int:
 
 def cmd_energy(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _load_config(args)
+    cfg, _recorded = _load_config(args)
     depths = [int(d) for d in args.depths.split(",")]
     manifest = RunManifest(out_dir, "energy", {**cfg.to_dict(), "depths": depths},
                            cfg.seed, args.dataset)
@@ -290,8 +271,7 @@ def cmd_energy(args) -> int:
 
 def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _load_config(args)
+    cfg, _recorded = _load_config(args)
     term_masks = [t.strip().upper() for t in args.terms_list.split(",")]
     manifest = RunManifest(out_dir, "ablate", {**cfg.to_dict(), "terms_list": term_masks},
                            cfg.seed, args.dataset)
@@ -311,7 +291,6 @@ def cmd_ablate(args) -> int:
 
 def cmd_split_study(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(out_dir, "split-study",
                            {"trials": args.trials, "dt": args.dt}, args.seed)
     rows = []
@@ -336,7 +315,6 @@ def cmd_split_study(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(out_dir, "gradcheck", {}, args.seed)
     results = run_all_checks(args.seed)
     rows = [[r["check"], r["max_rel_err"], r["tol"], "pass" if r["passed"] else "fail"]
@@ -362,26 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_train_flags(p):
         p.add_argument("--config", help="JSON config (or a previous run manifest)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--patience", type=int, default=None)
-        p.add_argument("--layers", type=int, default=None)
-        p.add_argument("--hidden", type=int, default=None)
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--terms", default=None)
-        p.add_argument("--loss", default=None)
-        p.add_argument("--dropout-io", type=float, default=None, dest="dropout_io")
-        p.add_argument("--dropout-hidden", type=float, default=None, dest="dropout_hidden")
-        p.add_argument("--cg-iterations", type=int, default=None, dest="cg_iterations")
+        for key, kind in TRAIN_FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
 
     p = sub.add_parser("train", help="train on a dataset container")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--splits", type=_split_count, default="all", help="'all' or a count")
+    # not set unless given: see RUN_OPTIONS
+    p.add_argument("--splits", type=_split_count, default=argparse.SUPPRESS,
+                   help="'all' (the default) or a count")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for multi-split fanout")
-    p.add_argument("--normalize", default="per_node",
-                   choices=["per_node", "global", "none"], help="temporal series scaling")
+    p.add_argument("--normalize", default=argparse.SUPPRESS,
+                   choices=["per_node", "global", "none"],
+                   help="temporal series scaling (default per_node)")
     add_train_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -140,55 +140,64 @@ def _resolve_manifest(path) -> tuple[Path, Path]:
     return manifest, manifest.parent
 
 
-def save_bundle(bundle: DatasetBundle, out_dir, inline_limit: int = _INLINE_LIMIT) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    g = bundle.graph
-    edges = np.stack([g.edge_src, g.edge_dst], axis=1)
-    arrays = {
-        "edges": _array_spec("edges", edges, out_dir, inline_limit),
-        "features": _array_spec("features", bundle.features, out_dir, inline_limit),
-    }
-    if bundle.labels is not None:
-        arrays["labels"] = _array_spec("labels", bundle.labels, out_dir, inline_limit)
-    for part in ("train", "val", "test"):
-        idx = {"train": 0, "val": 1, "test": 2}[part]
-        masks = np.stack([s[idx].astype(np.int64) for s in bundle.splits], axis=0)
-        arrays[f"split_{part}"] = _array_spec(f"split_{part}", masks, out_dir, inline_limit)
-    manifest = {
-        "schema": SCHEMA_VERSION,
-        "kind": "node_classification",
-        "name": bundle.name,
-        "n_nodes": g.n_nodes,
-        "homophily": bundle.homophily,
-        "row_normalized": bundle.row_normalized,
-        "split_source": bundle.split_source,
-        "arrays": arrays,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    return out_dir
-
-
-def load_graph_dataset(path) -> DatasetBundle:
-    """Load a node-classification bundle, validating the whole schema."""
+def _open_container(path, kind: str):
+    """The header checks both container kinds share: schema, ``kind``,
+    ``n_nodes`` and the edges. Returns the manifest, ``n_nodes``, the edges
+    and a reader of the named arrays."""
     manifest_path, base = _resolve_manifest(path)
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("schema") != SCHEMA_VERSION:
         raise DataFormatError("/schema", f"expected {SCHEMA_VERSION!r}")
-    if manifest.get("kind") != "node_classification":
-        raise DataFormatError("/kind", f"expected 'node_classification', got {manifest.get('kind')!r}")
+    if manifest.get("kind") != kind:
+        raise DataFormatError("/kind", f"expected {kind!r}, got {manifest.get('kind')!r}")
     n = manifest.get("n_nodes")
     if not isinstance(n, int) or n < 1:
         raise DataFormatError("/n_nodes", "must be a positive integer")
     arrays = manifest.get("arrays", {})
-    edges = _read_array(arrays.get("edges"), base, "/arrays/edges").astype(np.int64)
+
+    def read(name: str) -> np.ndarray:
+        return _read_array(arrays.get(name), base, f"/arrays/{name}")
+
+    return manifest, n, read("edges").astype(np.int64), read
+
+
+def _write_container(out_dir, kind: str, graph: Graph, name: str, arrays: dict,
+                     inline_limit: int, **fields) -> Path:
+    """The header :func:`_open_container` checks, then ``fields`` and the
+    edges followed by the named ``arrays``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    arrays = {"edges": np.stack([graph.edge_src, graph.edge_dst], axis=1), **arrays}
+    manifest = {"schema": SCHEMA_VERSION, "kind": kind, "name": name, "n_nodes": graph.n_nodes,
+                **fields, "arrays": {key: _array_spec(key, arr, out_dir, inline_limit)
+                                     for key, arr in arrays.items()}}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    return out_dir
+
+
+def save_bundle(bundle: DatasetBundle, out_dir, inline_limit: int = _INLINE_LIMIT) -> Path:
+    arrays = {"features": bundle.features}
+    if bundle.labels is not None:
+        arrays["labels"] = bundle.labels
+    for idx, part in enumerate(("train", "val", "test")):
+        arrays[f"split_{part}"] = np.stack([s[idx].astype(np.int64) for s in bundle.splits])
+    return _write_container(out_dir, "node_classification", bundle.graph, bundle.name, arrays,
+                            inline_limit, homophily=bundle.homophily,
+                            row_normalized=bundle.row_normalized,
+                            split_source=bundle.split_source)
+
+
+def load_graph_dataset(path) -> DatasetBundle:
+    """Load a node-classification bundle, validating the whole schema."""
+    manifest, n, edges, read = _open_container(path, "node_classification")
+    arrays = manifest.get("arrays", {})
     graph = build_graph(edges, n, symmetrize=True)
-    features = _read_array(arrays.get("features"), base, "/arrays/features")
+    features = read("features")
     if features.shape[0] != n:
         raise DataFormatError("/arrays/features/shape", f"rows {features.shape[0]} != n_nodes {n}")
     labels = None
     if "labels" in arrays:
-        labels = _read_array(arrays["labels"], base, "/arrays/labels").astype(np.int64)
+        labels = read("labels").astype(np.int64)
         if labels.shape != (n,):
             raise DataFormatError("/arrays/labels/shape", f"{labels.shape} != ({n},)")
         if (labels < 0).any():
@@ -199,7 +208,7 @@ def load_graph_dataset(path) -> DatasetBundle:
         key = f"split_{part}"
         if key not in arrays:
             raise DataFormatError(f"/arrays/{key}", "missing")
-        masks[part] = _read_array(arrays[key], base, f"/arrays/{key}").astype(bool)
+        masks[part] = read(key).astype(bool)
         if masks[part].ndim != 2 or masks[part].shape[1] != n:
             raise DataFormatError(f"/arrays/{key}/shape", f"expected (k, {n})")
     k = masks["train"].shape[0]
@@ -219,41 +228,14 @@ def load_graph_dataset(path) -> DatasetBundle:
 
 
 def save_temporal(dataset: TemporalDataset, out_dir, inline_limit: int = _INLINE_LIMIT) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    g = dataset.graph
-    edges = np.stack([g.edge_src, g.edge_dst], axis=1)
-    manifest = {
-        "schema": SCHEMA_VERSION,
-        "kind": "temporal",
-        "name": dataset.name,
-        "n_nodes": g.n_nodes,
-        "tau_in": dataset.tau_in,
-        "tau_out": dataset.tau_out,
-        "arrays": {
-            "edges": _array_spec("edges", edges, out_dir, inline_limit),
-            "series": _array_spec("series", dataset.series, out_dir, inline_limit),
-            "timestamps": _array_spec("timestamps", dataset.timestamps, out_dir, inline_limit),
-        },
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    return out_dir
+    return _write_container(out_dir, "temporal", dataset.graph, dataset.name,
+                            {"series": dataset.series, "timestamps": dataset.timestamps},
+                            inline_limit, tau_in=dataset.tau_in, tau_out=dataset.tau_out)
 
 
 def load_temporal_dataset(path) -> TemporalDataset:
-    manifest_path, base = _resolve_manifest(path)
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("schema") != SCHEMA_VERSION:
-        raise DataFormatError("/schema", f"expected {SCHEMA_VERSION!r}")
-    if manifest.get("kind") != "temporal":
-        raise DataFormatError("/kind", f"expected 'temporal', got {manifest.get('kind')!r}")
-    n = manifest.get("n_nodes")
-    if not isinstance(n, int) or n < 1:
-        raise DataFormatError("/n_nodes", "must be a positive integer")
-    arrays = manifest.get("arrays", {})
-    edges = _read_array(arrays.get("edges"), base, "/arrays/edges").astype(np.int64)
-    series = _read_array(arrays.get("series"), base, "/arrays/series")
-    timestamps = _read_array(arrays.get("timestamps"), base, "/arrays/timestamps")
+    manifest, n, edges, read = _open_container(path, "temporal")
+    series, timestamps = read("series"), read("timestamps")
     if series.ndim != 3 or series.shape[1] != n:
         raise DataFormatError("/arrays/series/shape", f"expected (T, {n}, c), got {series.shape}")
     if timestamps.shape != (series.shape[0],):
@@ -399,17 +381,17 @@ def normalize_series(dataset: TemporalDataset, scheme: str = "per_node"):
 # ---------------------------------------------------------------------------
 # synthetic tasks
 
-def make_transport_task(n: int, p: float, n_sources: int, seed: int,
-                        max_retries: int = 20) -> TransportTask:
+def make_transport_task(n: int, p: float, n_sources: int, seed: int) -> TransportTask:
     """Unit mass spread over random source nodes, to be gathered at a random
     destination; regenerates (seed+1, ...) until sources and destination
-    share a component."""
+    share a component, in at most 20 tries."""
     # imported on use: scipy.sparse.csgraph adds about 11 MB of resident
     # memory to a process, and only transport tasks need it
     from scipy.sparse.csgraph import connected_components
 
     if n_sources >= n:
         raise ValueError(f"n_sources={n_sources} must be < n={n}")
+    max_retries = 20
     for attempt in range(max_retries):
         trial_seed = seed + attempt
         graph = erdos_renyi(n, p, trial_seed)

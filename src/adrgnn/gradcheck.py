@@ -84,7 +84,7 @@ def primitive_checks(seed: int = 0) -> list[dict]:
         "relu": (lambda: _weighted_sum(ad.relu(x), philox(seed + 8)), [x]),
         "tanh": (lambda: _weighted_sum(ad.tanh(x), philox(seed + 9)), [x]),
         "hardtanh": (lambda: _weighted_sum(ad.hardtanh(x, 0.0, 1.0), philox(seed + 10)), [x]),
-        "dropout": (lambda: _weighted_sum(ad.dropout(x, 0.4, True, 123), philox(seed + 11)), [x]),
+        "dropout": (lambda: _weighted_sum(ad.dropout(x, 0.4, 123), philox(seed + 11)), [x]),
         "row_gather": (lambda: _weighted_sum(
             ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, x), philox(seed + 12)), [x]),
         "slice_columns": (lambda: _weighted_sum(ad.slice_columns(x, 1, 3), philox(seed + 13)), [x]),

@@ -43,24 +43,31 @@ class SparseFeatures:
         self.csr = sp.csr_matrix(features).astype(default_dtype())
         self.shape = self.csr.shape
 
-    def dropout(self, p: float, rng: np.random.Generator) -> sp.csr_matrix:
-        keep = (rng.random(self.csr.data.shape) >= p) / (1.0 - p)
-        out = self.csr.copy()
-        out.data *= keep
+    def dropout(self, p: float, rng: np.random.Generator) -> "SparseFeatures":
+        out = copy.copy(self)
+        out.csr = self.csr.copy()
+        out.csr.data *= (rng.random(self.csr.data.shape) >= p) / (1.0 - p)
         return out
 
 
-def _input_linear(x, lin: Linear, p_io: float, train: bool, rng) -> Variable:
+def _dropout(x, p: float, rng):
+    """The one dropout rule of every forward: ``x`` itself, drawing nothing,
+    in evaluation (``rng`` is None, see :func:`_dropout_rng`) or at p = 0;
+    else inverted dropout with a mask from the next child of ``rng``."""
+    if rng is None or p == 0:
+        return x
+    child = rng.child()
+    return x.dropout(p, child) if isinstance(x, SparseFeatures) else ad.dropout(x, p, child)
+
+
+def _input_linear(x, lin: Linear, p_io: float, rng) -> Variable:
     """Dropout followed by the embedding layer, with a CSR fast path."""
-    if isinstance(x, SparseFeatures):
-        mat = x.dropout(p_io, rng.child()) if (train and p_io > 0) else x.csr
-        # the CSC view mat.T is the backward operand: no transpose is built
-        y = ad.fixed_sparse_matmul(mat, mat.T, lin.w)
-        return ad.add(y, lin.b) if lin.b is not None else y
-    x = ad._as_variable(x)
-    if train and p_io > 0:
-        x = ad.dropout(x, p_io, train, rng.child())
-    return lin(x)
+    x = _dropout(x, p_io, rng)
+    if not isinstance(x, SparseFeatures):
+        return lin(x)
+    # the CSC view csr.T is the backward operand: no transpose is built
+    y = ad.fixed_sparse_matmul(x.csr, x.csr.T, lin.w)
+    return ad.add(y, lin.b) if lin.b is not None else y
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +183,14 @@ class AdrGnnStatic(ParameterRegistry):
         if tuple(x.shape) != (g.n_nodes, cfg["c_in"]):
             raise ValueError(
                 f"forward: features {tuple(x.shape)} != ({g.n_nodes}, {cfg['c_in']})")
-        u0 = _input_linear(x, self.g_in, p_io, train, rng)
+        u0 = _input_linear(x, self.g_in, p_io, rng)
         u = u0
         stages = [u0]
         for layer in self.layers:
-            if train and p_h > 0:
-                u = ad.dropout(u, p_h, train, rng.child())
-            u = adr_layer(g, u, u0, layer, cfg["h"], cfg["cg_iterations"],
+            u = adr_layer(g, _dropout(u, p_h, rng), u0, layer, cfg["h"], cfg["cg_iterations"],
                           train=train, terms=terms)
             stages.append(u)
-        if train and p_io > 0:
-            u = ad.dropout(u, p_io, train, rng.child())
-        logits = self.g_out(u)
+        logits = self.g_out(_dropout(u, p_io, rng))
         if diagnostics:
             return logits, stages
         return logits
@@ -295,8 +298,7 @@ class AdrGnnTemporal(ParameterRegistry):
             raise ValueError(
                 f"forward: temporal features {x.value.shape} != ({g.n_nodes}, {tau_in * c_in})")
         t_emb = ad._as_variable(t_emb)
-        if train and p_io > 0:
-            x = ad.dropout(x, p_io, train, rng.child())
+        x = _dropout(x, p_io, rng)
         temb = self.g_time_embed(t_emb)
         last_frame = ad.slice_columns(x, (tau_in - 1) * c_in, tau_in * c_in)
         u_state = self.g_in_state(ad.concat_columns([last_frame, temb]))
@@ -304,16 +306,12 @@ class AdrGnnTemporal(ParameterRegistry):
         u_hist0 = u_hist
         stages = [u_state]
         for layer, g_hist_l in zip(self.layers, self.g_hist):
-            if train and p_h > 0:
-                u_state = ad.dropout(u_state, p_h, train, rng.child())
-            u_state = adr_layer(g, u_state, u_hist0, layer, cfg["h"],
+            u_state = adr_layer(g, _dropout(u_state, p_h, rng), u_hist0, layer, cfg["h"],
                                 cfg["cg_iterations"], train=train,
                                 velocity_features=u_hist)
             u_hist = g_hist_l(ad.concat_columns([u_hist, u_state, temb]))
             stages.append(u_state)
-        if train and p_io > 0:
-            u_state = ad.dropout(u_state, p_io, train, rng.child())
-        predictions = self.g_out_state(u_state)
+        predictions = self.g_out_state(_dropout(u_state, p_io, rng))
         if diagnostics:
             return predictions, stages
         return predictions
@@ -357,9 +355,7 @@ class GcnBaseline(ParameterRegistry):
         u = ad._as_variable(x)
         stages = [u]
         for conv in self.convs:
-            if train and p > 0:
-                u = ad.dropout(u, p, train, rng.child())
-            u = ad.relu(ad.fixed_sparse_matmul(a_hat, a_hat, conv(u)))
+            u = ad.relu(ad.fixed_sparse_matmul(a_hat, a_hat, conv(_dropout(u, p, rng))))
             stages.append(u)
         logits = self.head(u)
         if diagnostics:

@@ -65,9 +65,9 @@ class DiffusionParams:
     theta: Variable
 
     @classmethod
-    def init(cls, c: int, name: str = "diff", initial: float = 0.5) -> "DiffusionParams":
+    def init(cls, c: int, name: str = "diff") -> "DiffusionParams":
         # Init in the clamp interior so the coefficients keep a gradient.
-        return cls(Variable(np.full(c, initial), requires_grad=True, name=f"{name}.theta"))
+        return cls(Variable(np.full(c, 0.5), requires_grad=True, name=f"{name}.theta"))
 
     def effective(self) -> Variable:
         return ad.hardtanh(self.theta, 0.0, 1.0)

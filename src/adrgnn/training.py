@@ -40,6 +40,10 @@ GROUPS = ("embedding", "advection", "diffusion", "reaction")
 LOSSES = ("cross_entropy", "mse", "mae")
 LAYER_CHOICES = (2, 4, 8, 16, 32, 64)
 CHANNEL_CHOICES = (8, 16, 32, 64, 128, 256)
+# the documented continuous ranges, [lo, hi] with their printed bounds: validate
+# checks them and sample_config draws from them (learning rates log-uniformly)
+RANGES = {"lr": (1e-4, 1e-1, "[1e-4, 1e-1]"), "weight_decay": (0.0, 1e-2, "[0, 1e-2]"),
+          "dropout": (0.0, 0.9, "[0, 0.9]"), "h": (1e-3, 1.0, "[1e-3, 1]")}
 
 
 @dataclass
@@ -63,18 +67,12 @@ class TrainConfig:
     def validate(self, strict: bool = False) -> list[str]:
         """Check the documented hyperparameter ranges. Out-of-range values
         are warnings unless strict (the random-search driver is strict)."""
-        problems = []
-        for g in GROUPS:
-            if not 1e-4 <= self.lr[g] <= 1e-1:
-                problems.append(f"lr[{g}]={self.lr[g]} outside [1e-4, 1e-1]")
-            if not 0.0 <= self.weight_decay[g] <= 1e-2:
-                problems.append(f"weight_decay[{g}]={self.weight_decay[g]} outside [0, 1e-2]")
-        for name, value in (("dropout_io", self.dropout_io),
-                            ("dropout_hidden", self.dropout_hidden)):
-            if not 0.0 <= value <= 0.9:
-                problems.append(f"{name}={value} outside [0, 0.9]")
-        if not 1e-3 <= self.h <= 1.0:
-            problems.append(f"h={self.h} outside [1e-3, 1]")
+        checked = [(f"{key}[{g}]", getattr(self, key)[g], key)
+                   for g in GROUPS for key in ("lr", "weight_decay")]
+        checked += [("dropout_io", self.dropout_io, "dropout"),
+                    ("dropout_hidden", self.dropout_hidden, "dropout"), ("h", self.h, "h")]
+        problems = [f"{name}={value} outside {RANGES[key][2]}" for name, value, key in checked
+                    if not RANGES[key][0] <= value <= RANGES[key][1]]
         if self.layers not in LAYER_CHOICES:
             problems.append(f"layers={self.layers} not in {LAYER_CHOICES}")
         if self.hidden not in CHANNEL_CHOICES:
@@ -148,11 +146,12 @@ def classification_metrics(logits: np.ndarray, labels: np.ndarray,
     return metrics
 
 
-def regression_metrics(pred: np.ndarray, target: np.ndarray,
-                       zero_threshold: float = 1e-8) -> Metrics:
+def regression_metrics(pred: np.ndarray, target: np.ndarray) -> Metrics:
+    """MSE, RMSE, MAE, and MAPE over the targets of magnitude >= 1e-8 (the
+    rest are counted in ``mape_excluded``)."""
     diff = pred - target
     mse_val = float((diff * diff).mean())
-    defined = np.abs(target) >= zero_threshold
+    defined = np.abs(target) >= 1e-8
     excluded = int(diff.size - defined.sum())
     mape_val = (float((np.abs(diff[defined] / target[defined])).mean())
                 if defined.any() else None)
@@ -185,13 +184,12 @@ class AdamW:
     same size hold the gathered gradients, then the update and the decay.
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, groups: dict[str, list[Variable]], lr: dict[str, float],
-                 weight_decay: dict[str, float], betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
+                 weight_decay: dict[str, float]):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._params = [p for ps in groups.values() for p in ps]
         if len({id(p) for p in self._params}) != len(self._params):
@@ -543,9 +541,9 @@ class TransportFitResult:
 
 def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1.0,
                   lr: float = 0.05, epochs: int = 800, seed: int = 0,
-                  channels: int = 8, log_every: int = 25,
-                  cg_iterations: int = 30) -> TransportFitResult:
-    """Fit the selected term subset to the transport task by MSE.
+                  channels: int = 8, cg_iterations: int = 30) -> TransportFitResult:
+    """Fit the selected term subset to the transport task by MSE; the trace
+    records every 25th step and the final model.
 
     The unit source mass is replicated into ``channels`` identical channels
     and the prediction is their plain average, so each term's expressiveness
@@ -580,7 +578,7 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
     trace = []
     for step in range(epochs):
         mse = train_step(optimizer, build_loss, f"step {step}")
-        if step % log_every == 0:
+        if step % 25 == 0:
             trace.append({"step": step, "mse": mse, "mass": float(last["out"].value.sum())})
     final = forward()
     final_mse = float(np.mean((final.value - task.target_features) ** 2))
@@ -594,17 +592,22 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
 def sample_config(rng: np.random.Generator, base: TrainConfig) -> TrainConfig:
     """One draw from the documented ranges: log-uniform rates, uniform
     decays/dropouts/step size, discrete-uniform layers/channels/batchnorm."""
-    def log_uniform(lo, hi):
+    def uniform(key):
+        lo, hi, _text = RANGES[key]
+        return float(rng.uniform(lo, hi))
+
+    def log_uniform(key):
+        lo, hi, _text = RANGES[key]
         return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
     return replace(
         base,
-        lr={g: log_uniform(1e-4, 1e-1) for g in GROUPS},
-        weight_decay={g: float(rng.uniform(0.0, 1e-2)) for g in GROUPS},
-        dropout_io=float(rng.uniform(0.0, 0.9)),
-        dropout_hidden=float(rng.uniform(0.0, 0.9)),
+        lr={g: log_uniform("lr") for g in GROUPS},
+        weight_decay={g: uniform("weight_decay") for g in GROUPS},
+        dropout_io=uniform("dropout"),
+        dropout_hidden=uniform("dropout"),
         use_batchnorm=bool(rng.integers(0, 2)),
-        h=float(rng.uniform(1e-3, 1.0)),
+        h=uniform("h"),
         layers=int(rng.choice(LAYER_CHOICES)),
         hidden=int(rng.choice(CHANNEL_CHOICES)),
     )

@@ -57,24 +57,25 @@ class TestForwardValues:
 
     def test_dropout_p_range(self):
         with pytest.raises(ValueError, match="dropout"):
-            ad.dropout(Variable(np.zeros(3)), 1.0, True, 0)
+            ad.dropout(Variable(np.zeros(3)), 1.0, 0)
 
     def test_dropout_eval_identity(self):
+        # p = 0 is the identity; evaluation forwards never call ad.dropout
         x = Variable(philox(0).standard_normal(100))
-        out = ad.dropout(x, 0.5, False, 0)
+        out = ad.dropout(x, 0.0, 0)
         assert out is x
 
     def test_dropout_inverted_scaling_preserves_mean(self):
         x = Variable(np.ones(200_00))
-        out = ad.dropout(x, 0.25, True, 42)
+        out = ad.dropout(x, 0.25, 42)
         kept = out.value[out.value > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
         assert abs(out.value.mean() - 1.0) < 0.02
 
     def test_dropout_deterministic_for_seed(self):
         x = Variable(np.ones(50))
-        a = ad.dropout(x, 0.4, True, 7).value
-        b = ad.dropout(x, 0.4, True, 7).value
+        a = ad.dropout(x, 0.4, 7).value
+        b = ad.dropout(x, 0.4, 7).value
         np.testing.assert_array_equal(a, b)
 
     def test_concat_and_slice_roundtrip(self):
@@ -130,7 +131,7 @@ class TestBackwardSemantics:
         x = Variable(philox(1).standard_normal((5, 3)), requires_grad=True)
         with Tape() as tape:
             y = ad.relu(x)
-            loss = ad.total_sum(ad.dropout(y, 0.5, True, 7))
+            loss = ad.total_sum(ad.dropout(y, 0.5, 7))
         dropout_rule = tape.records[1][2]
         mask = next(c.cell_contents for c in dropout_rule.__closure__
                     if isinstance(c.cell_contents, np.ndarray))
@@ -187,7 +188,7 @@ class TestBackwardSemantics:
             x = Variable(gen.standard_normal((5, 4)), requires_grad=True)
             w = Variable(gen.standard_normal((4, 3)), requires_grad=True)
             with Tape() as tape:
-                out = ad.dropout(ad.tanh(ad.matmul(x, w)), 0.3, True, 5)
+                out = ad.dropout(ad.tanh(ad.matmul(x, w)), 0.3, 5)
                 loss = ad.total_sum(ad.hadamard(out, out))
             backward(tape, loss)
             return loss.value.copy(), x.grad.copy(), w.grad.copy()
@@ -333,7 +334,7 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_dropout_fixed_mask(self):
         x = Variable(philox(4).standard_normal((5, 3)), requires_grad=True)
-        check_grads(lambda: weighted_sum(ad.dropout(x, 0.4, True, 99)), [x], self.TOL)
+        check_grads(lambda: weighted_sum(ad.dropout(x, 0.4, 99)), [x], self.TOL)
 
     def test_gather_scatter_softmax(self):
         g = erdos_renyi(6, 0.6, seed=5)

@@ -144,6 +144,43 @@ class TestTrainCommand:
                      "--config", str(first / "manifest.json"), "--splits", "1"]) == 0
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
+    @staticmethod
+    def run_outputs(out: Path) -> dict:
+        return {name: (out / name).read_bytes()
+                for name in ("metrics.csv", "metrics.jsonl", "checkpoint.bin")}
+
+    def test_rerun_from_manifest_keeps_the_split_count(self, toy_dataset, tmp_path):
+        first = tmp_path / "first"
+        assert main(["train", "--dataset", str(toy_dataset), "--out", str(first),
+                     "--config", str(fast_config(tmp_path)), "--epochs", "3",
+                     "--splits", "1"]) == 0
+        assert json.loads((first / "manifest.json").read_text())["run_options"] == {
+            "splits": 1, "normalize": "per_node"}
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--dataset", str(toy_dataset), "--out", str(rerun),
+                     "--config", str(first / "manifest.json")]) == 0
+        assert self.run_outputs(rerun) == self.run_outputs(first)
+        # a flag given wins over the manifest's record
+        both = tmp_path / "both"
+        assert main(["train", "--dataset", str(toy_dataset), "--out", str(both),
+                     "--config", str(first / "manifest.json"), "--splits", "all"]) == 0
+        assert {r["split"] for r in read_csv(both / "metrics.csv")} == {
+            "0", "1", "mean", "std"}
+
+    def test_rerun_from_manifest_keeps_the_normalization(self, toy_temporal, tmp_path):
+        first = tmp_path / "first"
+        assert main(["train", "--dataset", str(toy_temporal), "--out", str(first),
+                     "--splits", "1", "--epochs", "2", "--layers", "2", "--loss", "mse",
+                     "--hidden", "8", "--normalize", "global"]) == 0
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--dataset", str(toy_temporal), "--out", str(rerun),
+                     "--config", str(first / "manifest.json")]) == 0
+        assert self.run_outputs(rerun) == self.run_outputs(first)
+        per_node = tmp_path / "per_node"
+        assert main(["train", "--dataset", str(toy_temporal), "--out", str(per_node),
+                     "--config", str(first / "manifest.json"), "--normalize", "per_node"]) == 0
+        assert (per_node / "metrics.csv").read_bytes() != (first / "metrics.csv").read_bytes()
+
     def test_worker_processes_match_in_process_splits(self, tmp_path):
         bundle = make_planted_partition(24, 2, 0.35, 0.05, feat_dim=4, noise=0.6,
                                         seed=3, k_splits=3)

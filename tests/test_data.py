@@ -222,7 +222,7 @@ class TestTransportTask:
 
     def test_retry_cap_error_suggests_larger_p(self):
         with pytest.raises(ValueError, match="increase p"):
-            make_transport_task(30, 0.0, 3, seed=0, max_retries=3)
+            make_transport_task(30, 0.0, 3, seed=0)
 
     def test_sources_connected_to_destination(self):
         from scipy.sparse.csgraph import connected_components

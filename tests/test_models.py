@@ -298,6 +298,75 @@ class TestGcnBaseline:
         assert gcn_rel < adr_rel
 
 
+class TestDropoutDrawOrder:
+    """A training forward draws one ``SeedStream`` child per dropout site
+    with p > 0, in forward order: the input, each layer's input (each
+    convolution's for GCN), the classifier's input. An evaluation forward
+    draws none."""
+
+    class CountingStream(SeedStream):
+        def __init__(self, seed: int):
+            super().__init__(seed)
+            self.drawn = []
+
+        def child(self):
+            rng = super().child()
+            self.drawn.append(rng)
+            return rng
+
+    @staticmethod
+    def build(case: str, p_io: float, p_h: float):
+        """A two-layer model and its inputs on 7 nodes; widths 3 in, 4 hidden
+        (2 in for the temporal model, whose window holds 2 frames)."""
+        x = philox(2).standard_normal((7, 3))
+        if case in ("static", "static_csr"):
+            from adrgnn.models import SparseFeatures
+            model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=2, h=0.5,
+                                      dropout_io=p_io, dropout_hidden=p_h, seed=1)
+            return model, (SparseFeatures(x) if case == "static_csr" else x,)
+        if case == "temporal":
+            model = AdrGnnTemporal.init(c_in=1, c_out=1, hidden=4, layers=2, h=0.5, tau_in=2,
+                                        tau_out=1, n_frequencies=2, dropout_io=p_io,
+                                        dropout_hidden=p_h, seed=3)
+            t_emb = broadcast_time_embedding(time_embedding([0.0, 1.0], 2), 7)
+            return model, (x[:, :2], t_emb)
+        return GcnBaseline.init(c_in=3, c_out=2, hidden=4, layers=2, dropout=p_h, seed=1), (x,)
+
+    @pytest.mark.parametrize("case, p_io, p_h, widths", [
+        ("static", 0.3, 0.2, [3, 4, 4, 4]),
+        ("static", 0.3, 0.0, [3, 4]),
+        ("static_csr", 0.3, 0.2, [3, 4, 4, 4]),
+        ("static_csr", 0.3, 0.0, [3, 4]),
+        ("temporal", 0.3, 0.2, [2, 4, 4, 4]),
+        ("temporal", 0.3, 0.0, [2, 4]),
+        ("gcn", 0.0, 0.3, [3, 4]),
+        ("gcn", 0.0, 0.0, []),
+    ])
+    def test_one_child_per_site_in_forward_order(self, case, p_io, p_h, widths,
+                                                 monkeypatch):
+        from adrgnn.models import SparseFeatures
+        sites = []  # (generator, width of the masked input) in call order
+
+        def recording(original):
+            def dropout(x, p, *args):
+                sites.append((args[-1], x.shape[1]))
+                return original(x, p, *args)
+            return dropout
+
+        monkeypatch.setattr(ad, "dropout", recording(ad.dropout))
+        monkeypatch.setattr(SparseFeatures, "dropout", recording(SparseFeatures.dropout))
+        g = erdos_renyi(7, 0.5, seed=4)
+        model, inputs = self.build(case, p_io, p_h)
+        stream = self.CountingStream(5)
+        model.forward(g, *inputs, train=True, rng=stream)
+        assert [width for _rng, width in sites] == widths
+        assert [rng for rng, _width in sites] == stream.drawn
+
+        stream, sites[:] = self.CountingStream(5), []
+        model.forward(g, *inputs, train=False, rng=stream)
+        assert stream.drawn == [] and sites == []
+
+
 class TestParameterRegistry:
     @staticmethod
     def group_of(name: str) -> str:
