@@ -45,9 +45,11 @@ EXIT_NUMERIC = 3
 TRAIN_FLAGS = {"seed": int, "epochs": int, "patience": int, "layers": int, "hidden": int,
                "h": float, "terms": str, "loss": str, "dropout_io": float,
                "dropout_hidden": float, "cg_iterations": int}
-# train's own options and their defaults; its manifest records them as
+# each command's own options and their defaults; its manifest records them as
 # "run_options", and a rerun from that manifest takes those not given as flags
-RUN_OPTIONS = {"splits": None, "normalize": "per_node"}
+RUN_OPTIONS = {"train": {"splits": None, "normalize": "per_node"},
+               "energy": {"depths": [2, 4, 8, 16, 32, 64], "split": 0},
+               "ablate": {"terms_list": ["A", "D", "R", "ADR"], "splits": None}}
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -101,9 +103,10 @@ class RunManifest:
         self.write()
 
 
-def _load_config(args) -> tuple[TrainConfig, dict]:
-    """The config of ``--config`` with the flags given applied, and the run
-    options a previous run manifest recorded ({} for a plain config)."""
+def _load_config(args, command: str) -> tuple[TrainConfig, dict]:
+    """The config of ``--config`` with the flags given applied, and the
+    command's run options: a flag given wins over a rerun manifest's record,
+    and that over the default."""
     data, recorded = {}, {}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
@@ -118,7 +121,9 @@ def _load_config(args) -> tuple[TrainConfig, dict]:
             recorded, raw = raw.get("run_options", {}), raw["resolved_config"]
         data = raw
     overrides = {key: getattr(args, key) for key in TRAIN_FLAGS if getattr(args, key) is not None}
-    return replace(TrainConfig.from_dict(data), **overrides), recorded
+    options = {key: getattr(args, key, recorded.get(key, default))
+               for key, default in RUN_OPTIONS[command].items()}
+    return replace(TrainConfig.from_dict(data), **overrides), options
 
 
 def _train_split_worker(payload: tuple) -> TrainResult:
@@ -154,10 +159,7 @@ def _split_count(text: str) -> int | None:
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
-    cfg, recorded = _load_config(args)
-    # a flag given wins over the rerun manifest's record, and that over the default
-    options = {key: getattr(args, key, recorded.get(key, default))
-               for key, default in RUN_OPTIONS.items()}
+    cfg, options = _load_config(args, "train")
     manifest = RunManifest(out_dir, "train", cfg.to_dict(), cfg.seed, args.dataset, options)
     kind = json.loads(_resolve_manifest(args.dataset)[0].read_text())["kind"]
     history_records: list[dict] = []
@@ -198,6 +200,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        out_dir = Path(args.out)
+        manifest = RunManifest(out_dir, "eval", {"split": args.split, "part": args.part},
+                               0, args.dataset)
     model = load_checkpoint(args.checkpoint)
     if model.config.get("kind") == "temporal":
         dataset = load_temporal_dataset(args.dataset)
@@ -211,9 +217,6 @@ def cmd_eval(args) -> int:
         name = bundle.name
     print(json.dumps(metrics.to_dict(), sort_keys=True))
     if args.out:
-        out_dir = Path(args.out)
-        manifest = RunManifest(out_dir, "eval", {"split": args.split, "part": args.part},
-                               0, args.dataset)
         rows = [[name, args.split, 0, metric, float(value)]
                 for metric, value in metrics.to_dict().items()]
         _write_csv(out_dir / "metrics.csv", ["dataset", "split", "seed", "metric", "value"], rows)
@@ -250,12 +253,10 @@ def cmd_transport(args) -> int:
 
 def cmd_energy(args) -> int:
     out_dir = Path(args.out)
-    cfg, _recorded = _load_config(args)
-    depths = [int(d) for d in args.depths.split(",")]
-    manifest = RunManifest(out_dir, "energy", {**cfg.to_dict(), "depths": depths},
-                           cfg.seed, args.dataset)
+    cfg, options = _load_config(args, "energy")
+    manifest = RunManifest(out_dir, "energy", cfg.to_dict(), cfg.seed, args.dataset, options)
     bundle = load_graph_dataset(args.dataset)
-    rows = depth_energy_study(bundle, depths, cfg, split_index=args.split)
+    rows = depth_energy_study(bundle, options["depths"], cfg, split_index=options["split"])
     csv_rows = []
     for row in rows:
         print(f"{row['model']} depth {row['depth']}: accuracy {row['accuracy']:.4f}")
@@ -271,13 +272,11 @@ def cmd_energy(args) -> int:
 
 def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
-    cfg, _recorded = _load_config(args)
-    term_masks = [t.strip().upper() for t in args.terms_list.split(",")]
-    manifest = RunManifest(out_dir, "ablate", {**cfg.to_dict(), "terms_list": term_masks},
-                           cfg.seed, args.dataset)
+    cfg, options = _load_config(args, "ablate")
+    manifest = RunManifest(out_dir, "ablate", cfg.to_dict(), cfg.seed, args.dataset, options)
     bundle = load_graph_dataset(args.dataset)
-    rows = ablation_study(bundle, term_masks, cfg,
-                          split_indices=list(range(len(bundle.splits)))[:args.splits])
+    rows = ablation_study(bundle, options["terms_list"], cfg,
+                          split_indices=list(range(len(bundle.splits)))[:options["splits"]])
     csv_rows = []
     for row in rows:
         for metric, (mean, std) in row["summary"].items():
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a dataset container")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    # not set unless given: see RUN_OPTIONS
+    # the run options of each command are not set unless given: see RUN_OPTIONS
     p.add_argument("--splits", type=_split_count, default=argparse.SUPPRESS,
                    help="'all' (the default) or a count")
     p.add_argument("--workers", type=int, default=1,
@@ -382,16 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="depth vs accuracy and Dirichlet energy")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--depths", default="2,4,8,16,32,64")
-    p.add_argument("--split", type=int, default=0)
+    p.add_argument("--depths", type=lambda t: list(map(int, t.split(","))),
+                   default=argparse.SUPPRESS)
+    p.add_argument("--split", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     add_train_flags(p)
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("ablate", help="per-term ablation study")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--terms-list", default="A,D,R,ADR", dest="terms_list")
-    p.add_argument("--splits", type=_split_count, default="all", help="'all' or a count")
+    p.add_argument("--terms-list", dest="terms_list", default=argparse.SUPPRESS,
+                   type=lambda t: [terms.strip().upper() for terms in t.split(",")])
+    p.add_argument("--splits", type=_split_count, default=argparse.SUPPRESS,
+                   help="'all' (the default) or a count")
     p.add_argument("--out", required=True)
     add_train_flags(p)
     p.set_defaults(func=cmd_ablate)

@@ -18,6 +18,8 @@ from .runtime import philox
 PRIMITIVE_TOL = 1e-5
 MODEL_TOL = 1e-4
 FD_STEP = 1e-6
+# the shipped diffusion series degree (TrainConfig.cg_iterations) and a deep one
+SERIES_DEGREES = (5, 40)
 
 
 def relative_gradient_error(build_loss: Callable[[], Variable],
@@ -124,39 +126,31 @@ def primitive_checks(seed: int = 0) -> list[dict]:
     return results
 
 
-def cg_check(seed: int = 0) -> list[dict]:
-    g = erdos_renyi(7, 0.6, seed=seed + 20)
+def series_checks(seed: int = 0) -> list[dict]:
+    """The diffusion solve and a full layer at the shipped series degree and
+    a deep one; the backward rule is exact for the series at any degree."""
+    g7, g5 = erdos_renyi(7, 0.6, seed=seed + 20), erdos_renyi(5, 0.7, seed=seed + 30)
     rng = philox(seed + 21)
     rhs = Variable(rng.standard_normal((7, 2)), requires_grad=True)
     kappa = Variable(rng.uniform(0.2, 0.9, 2), requires_grad=True)
-
-    def build():
-        out = ad.cg_solve(lambda v: laplacian_apply(g, v), rhs, kappa, h=0.8,
-                          iterations=200, tol=1e-13)
-        return _weighted_sum(out, philox(seed + 22))
-
-    err = relative_gradient_error(build, [rhs, kappa])
-    return [{"check": "cg_solve", "max_rel_err": err, "tol": PRIMITIVE_TOL,
-             "passed": err <= PRIMITIVE_TOL}]
-
-
-def layer_check(seed: int = 0) -> list[dict]:
-    g = erdos_renyi(5, 0.7, seed=seed + 30)
     rng = philox(seed + 31)
-    c = 2
-    params = AdrLayerParams.init(c, rng)
-    u = Variable(rng.standard_normal((5, c)), requires_grad=True)
-    u0 = Variable(rng.standard_normal((5, c)), requires_grad=True)
-
-    def build():
-        out = adr_layer(g, u, u0, params, h=0.6, cg_iterations=100, cg_tol=1e-13)
-        return _weighted_sum(out, philox(seed + 32))
-
-    wrt = ([u, u0] + params.advection.parameters() + params.diffusion.parameters()
-           + params.reaction.parameters())
-    err = relative_gradient_error(build, wrt)
-    return [{"check": "adr_layer", "max_rel_err": err, "tol": MODEL_TOL,
-             "passed": err <= MODEL_TOL}]
+    params = AdrLayerParams.init(2, rng)
+    u, u0 = (Variable(rng.standard_normal((5, 2)), requires_grad=True) for _ in range(2))
+    layer_wrt = ([u, u0] + params.advection.parameters() + params.diffusion.parameters()
+                 + params.reaction.parameters())
+    results = []
+    for k in SERIES_DEGREES:
+        for name, build, wrt, tol in (
+                ("cg_solve", lambda: _weighted_sum(ad.cg_solve(
+                    lambda v: laplacian_apply(g7, v), rhs, kappa, h=0.8, iterations=k),
+                    philox(seed + 22)), [rhs, kappa], PRIMITIVE_TOL),
+                ("adr_layer", lambda: _weighted_sum(adr_layer(
+                    g5, u, u0, params, h=0.6, cg_iterations=k), philox(seed + 32)),
+                 layer_wrt, MODEL_TOL)):
+            err = relative_gradient_error(build, wrt)
+            results.append({"check": f"{name}_degree{k}", "max_rel_err": err, "tol": tol,
+                            "passed": err <= tol})
+    return results
 
 
 def model_checks(seed: int = 0) -> list[dict]:
@@ -165,7 +159,7 @@ def model_checks(seed: int = 0) -> list[dict]:
     rng = philox(seed + 41)
     x = rng.standard_normal((5, 3))
     static = AdrGnnStatic.init(c_in=3, c_out=2, hidden=2, layers=2, h=0.5,
-                               cg_iterations=100, seed=seed + 42)
+                               seed=seed + 42)
     labels = rng.integers(0, 2, size=5)
 
     def build_static():
@@ -180,7 +174,7 @@ def model_checks(seed: int = 0) -> list[dict]:
     tau_in = 2
     temporal = AdrGnnTemporal.init(c_in=1, c_out=1, hidden=2, layers=2, h=0.5,
                                    tau_in=tau_in, tau_out=1, n_frequencies=2,
-                                   cg_iterations=100, seed=seed + 44)
+                                   seed=seed + 44)
     xt = philox(seed + 45).standard_normal((4, tau_in))
     emb = broadcast_time_embedding(time_embedding([0.0, 1.0], 2), 4)
     target = philox(seed + 46).standard_normal((4, 1))
@@ -196,5 +190,4 @@ def model_checks(seed: int = 0) -> list[dict]:
 
 
 def run_all_checks(seed: int = 0) -> list[dict]:
-    return (primitive_checks(seed) + cg_check(seed) + layer_check(seed)
-            + model_checks(seed))
+    return primitive_checks(seed) + series_checks(seed) + model_checks(seed)

@@ -4,10 +4,11 @@ operator-split composition into a single layer.
 Advection transports node features along directed edges using learned
 velocities whose outbound weights sum to 1 per node and channel, which
 makes the update mass conserving and column stochastic. Diffusion takes an
-implicit Euler step of the normalized-Laplacian heat flow via a per-channel
-conjugate-gradient solve. Reaction is a pointwise MLP update with a skip
-connection to the initial embedding. One layer applies the three solution
-operators in sequence (advection, diffusion, reaction).
+implicit Euler step of the normalized-Laplacian heat flow, applied per
+channel as a fixed-degree Chebyshev series in the Laplacian. Reaction is a
+pointwise MLP update with a skip connection to the initial embedding. One
+layer applies the three solution operators in sequence (advection,
+diffusion, reaction).
 """
 
 from __future__ import annotations
@@ -225,16 +226,17 @@ def advection_matrix(g: Graph, v: EdgeVelocities, h: float, channel: int) -> np.
 # diffusion
 
 def diffuse(g: Graph, u, params: DiffusionParams, h: float,
-            cg_iterations: int = 5, cg_tol: float = 1e-10) -> Variable:
+            cg_iterations: int = 5) -> Variable:
     """Diffusion step with per-channel coefficients kappa = hardtanh(theta, 0, 1):
-    the unconditionally stable implicit Euler step, a CG solve of
-    (I + h*kappa_c*L)u_c = u_c per channel.
+    the unconditionally stable implicit Euler step (I + h*kappa_c*L)^-1 u_c
+    per channel, as a Chebyshev series of degree ``cg_iterations`` in L
+    (:func:`autodiff.cg_solve`).
     """
     u = ad._as_variable(u)
     if u.value.shape[0] != g.n_nodes:
         raise ValueError(f"diffuse: feature rows {u.value.shape[0]} != n_nodes {g.n_nodes}")
     return ad.cg_solve(lambda x: laplacian_apply(g, x), u, params.effective(), h,
-                       iterations=cg_iterations, tol=cg_tol)
+                       iterations=cg_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +270,7 @@ class AdrLayerStages:
 
 
 def adr_layer(g: Graph, u, u0, params: AdrLayerParams, h: float,
-              cg_iterations: int = 5, cg_tol: float = 1e-10,
-              train: bool = False, terms: str = "ADR",
+              cg_iterations: int = 5, train: bool = False, terms: str = "ADR",
               velocity_features=None, diagnostics: bool = False):
     """One operator-split step: advection, then implicit diffusion, then
     reaction. ``terms`` selects the active subset (inactive terms are the
@@ -288,7 +289,7 @@ def adr_layer(g: Graph, u, u0, params: AdrLayerParams, h: float,
     else:
         u_adv = u
     if "D" in terms:
-        u_diff = diffuse(g, u_adv, params.diffusion, h, cg_iterations, cg_tol)
+        u_diff = diffuse(g, u_adv, params.diffusion, h, cg_iterations)
     else:
         u_diff = u_adv
     if "R" in terms:

@@ -181,7 +181,8 @@ class AdamW:
     The moments live in two flat buffers in group order, and each step runs
     whole-buffer ufuncs over them: the update is elementwise, so this is the
     per-parameter arithmetic element for element. Two scratch buffers of the
-    same size hold the gathered gradients, then the update and the decay.
+    same size hold the gathered gradients, then the update; and the second
+    moment's increment, then the decay.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -214,24 +215,29 @@ class AdamW:
 
     def step(self) -> None:
         """Raises TrainingDiverged, before changing anything, naming the
-        first parameter in group order whose gradient is not finite."""
+        first parameter in group order whose gradient is not finite or
+        overflows when squared (an infinite second moment would freeze it)."""
         params = self._params
         if not params:
             self.t += 1
             return
         g = np.concatenate([p.grad for p in params], axis=None, out=self._update)
-        if not np.isfinite(g).all():
-            bad = next(p for p in params if not np.isfinite(p.grad).all())
-            raise TrainingDiverged(f"non-finite gradient in parameter {bad.name!r}")
+        m, v, update, work = self._m, self._v, self._update, self._decay
+        np.multiply(g, 1.0 - self.beta2, out=work)
+        with np.errstate(over="ignore"):  # an overflow raises below
+            np.multiply(work, g, out=work)
+        if not np.isfinite(work).all():
+            bad = next(p for _, _, members in self._spans for p, _, square in members
+                       if not np.isfinite(square).all())
+            raise TrainingDiverged(f"gradient of parameter {bad.name!r} is not finite "
+                                   "or overflows when squared")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        m, v, update, work = self._m, self._v, self._update, self._decay
+        v *= self.beta2
+        v += work
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=work)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=work)
-        v += np.multiply(work, g, out=work)
         # the update overwrites the gathered gradients g
         np.divide(m, bc1, out=update)
         np.sqrt(np.divide(v, bc2, out=work), out=work)
@@ -318,7 +324,7 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
     optimizer = AdamW(model.param_groups(), cfg.lr, cfg.weight_decay)
     stream = SeedStream(cfg.seed + split_index)
     history: list[dict] = []
-    best = {"val": -np.inf, "epoch": -1}  # and, once an epoch settles, snapshot and logits
+    best = {"val": -np.inf, "epoch": -1}  # and, once an epoch settles, its view and logits
     pending = []  # the last stepped epoch: (epoch, loss, model view, validation)
 
     def build_loss() -> Variable:
@@ -337,12 +343,12 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
         val_acc = classification_metrics(eval_logits, labels, val_mask).accuracy
         history.append({"epoch": epoch, "train_loss": loss_value, "val_accuracy": val_acc})
         if val_acc > best["val"]:
-            best.update(val=val_acc, epoch=epoch, snapshot=view.snapshot(), logits=eval_logits)
+            best.update(val=val_acc, epoch=epoch, view=view, logits=eval_logits)
             return True
         if val_acc == best["val"]:
             # keep the most-trained checkpoint among equal validation maxima;
             # patience still counts from the first time the maximum was hit
-            best.update(snapshot=view.snapshot(), logits=eval_logits)
+            best.update(view=view, logits=eval_logits)
         return epoch - best["epoch"] < cfg.patience
 
     # Epoch e's validation forward runs on a helper thread, on a detached
@@ -363,9 +369,9 @@ def _classifier_loop(model, bundle: DatasetBundle, cfg: TrainConfig,
             pending.append((epoch, loss_value, view,
                             helper.submit(view.forward, g, x, train=False)))
         settle()
-    # The kept logits are the restored model's own: the view they came from
-    # held the same values and ran the same forward, so none is rerun.
-    model.restore(**best["snapshot"])
+    # The best view is a private copy that nothing wrote after its forward,
+    # so its snapshot, taken once here, restores the model its logits scored.
+    model.restore(**best["view"].snapshot())
     metrics = classification_metrics(best["logits"], labels, test_mask)
     val_metrics = classification_metrics(best["logits"], labels, val_mask)
     return TrainResult(model, metrics, val_metrics, history, best["epoch"])
@@ -541,7 +547,7 @@ class TransportFitResult:
 
 def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1.0,
                   lr: float = 0.05, epochs: int = 800, seed: int = 0,
-                  channels: int = 8, cg_iterations: int = 30) -> TransportFitResult:
+                  channels: int = 8) -> TransportFitResult:
     """Fit the selected term subset to the transport task by MSE; the trace
     records every 25th step and the final model.
 
@@ -551,7 +557,8 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
     channel individually conserves mass under advection, hence so does the
     average. A single channel leaves the velocity nets with exactly tied
     ReLU inputs on equal-valued edges (zero gradients); the replicated
-    channels diverge after one step and break those ties.
+    channels diverge after one step and break those ties. Diffusion runs at
+    the layer's default series degree, as in training.
     """
     g = task.graph
     stream = SeedStream(seed)
@@ -566,7 +573,7 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
         u = Variable(source)
         u0 = Variable(source)
         for lp in layer_params:
-            u = adr_layer(g, u, u0, lp, h, cg_iterations=cg_iterations, terms=terms)
+            u = adr_layer(g, u, u0, lp, h, terms=terms)
         return ad.matmul(u, Variable(channel_mean))
 
     last = {}  # the step's forward output, whose mass the trace records

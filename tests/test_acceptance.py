@@ -140,9 +140,10 @@ class TestPropertyCriteria:
                f"{len(results)} checks, worst err/tol ratio {worst:.3f}")
 
     def test_c05_cg_oracle_and_adjoint(self):
-        """Converged CG matches a dense direct solve to 1e-8 on graphs up to
-        n=30, and the implicit adjoint matches differentiation through the
-        unrolled iterations to 1e-6."""
+        """A degree-4n diffusion series matches a dense direct solve to 1e-8
+        on graphs up to n=30, and at degree 24 its backward rule matches the
+        exact solve's gradient (the dense inverse applied to the upstream
+        gradient, and -h <A^-1 w, L A^-1 b> for kappa) to 1e-6."""
         worst = 0.0
         for seed in range(8):
             n = int(philox(seed).integers(5, 31))
@@ -152,13 +153,12 @@ class TestPropertyCriteria:
             kappa = gen.uniform(0.0, 1.0, 2)
             h = float(gen.uniform(0.1, 1.0))
             out = ad.cg_solve(lambda x, g=g: laplacian_apply(g, x), Variable(rhs),
-                              Variable(kappa), h, iterations=4 * n, tol=0.0)
+                              Variable(kappa), h, iterations=4 * n)
             dense = laplacian_dense(g)
             for c in range(2):
                 direct = np.linalg.solve(np.eye(n) + h * kappa[c] * dense, rhs[:, c])
                 worst = max(worst, float(np.abs(out.value[:, c] - direct).max()))
 
-        from test_cg import _Dual, _unrolled_cg_dual
         g = erdos_renyi(6, 0.6, seed=7)
         dense = laplacian_dense(g)
         gen = philox(60)
@@ -168,25 +168,19 @@ class TestPropertyCriteria:
         rhs = Variable(rhs_val, requires_grad=True)
         kappa = Variable(kappa_val, requires_grad=True)
         with Tape() as tape:
-            out = ad.cg_solve(lambda x: laplacian_apply(g, x), rhs, kappa, 0.6,
-                              iterations=24, tol=1e-12)
+            out = ad.cg_solve(lambda x: laplacian_apply(g, x), rhs, kappa, 0.6, iterations=24)
             loss = ad.total_sum(ad.hadamard(out, Variable(w)))
         backward(tape, loss)
         adj_err = 0.0
         for c in range(2):
-            for i in range(6):
-                dot = np.zeros(6)
-                dot[i] = 1.0
-                sol = _unrolled_cg_dual(dense, _Dual(rhs_val[:, c], dot),
-                                        _Dual(kappa_val[c]), 0.6, 24)
-                fdg = (sol.dot * w[:, c]).sum()
-                adj_err = max(adj_err, abs(rhs.grad[i, c] - fdg) / max(abs(fdg), 1e-9))
-            sol = _unrolled_cg_dual(dense, _Dual(rhs_val[:, c]),
-                                    _Dual(kappa_val[c], 1.0), 0.6, 24)
-            fdg = (sol.dot * w[:, c]).sum()
-            adj_err = max(adj_err, abs(kappa.grad[c] - fdg) / max(abs(fdg), 1e-9))
+            a = np.eye(6) + 0.6 * kappa_val[c] * dense
+            g_rhs = np.linalg.solve(a, w[:, c])
+            g_kappa = -0.6 * g_rhs @ dense @ np.linalg.solve(a, rhs_val[:, c])
+            adj_err = max(adj_err, float(np.abs(rhs.grad[:, c] - g_rhs).max()
+                                         / np.abs(g_rhs).max()),
+                          abs(kappa.grad[c] - g_kappa) / abs(g_kappa))
         report("5", worst <= 1e-8 and adj_err <= 1e-6,
-               f"dense gap {worst:.2e}, adjoint vs unrolled {adj_err:.2e}")
+               f"dense gap {worst:.2e}, gradient vs exact solve {adj_err:.2e}")
 
     def test_c06_operator_splitting(self):
         """Commuting triples produce discrepancy <= 1e-12; halving dt shrinks
@@ -206,8 +200,8 @@ class TestPropertyCriteria:
                f"commuting {commuting:.1e}, mean halving ratio {mean_ratio:.3f}")
 
     def test_c07_diffusion_contracts_energy(self):
-        """Converged implicit diffusion never raises the Dirichlet energy on
-        50 random instances; zero coefficients are the exact identity."""
+        """Implicit diffusion at degree 4n never raises the Dirichlet energy
+        on 50 random instances; zero coefficients are the exact identity."""
         worst_increase = -np.inf
         for trial in range(50):
             gen = philox(3000 + trial)
@@ -216,7 +210,7 @@ class TestPropertyCriteria:
             u = Variable(gen.standard_normal((n, 3)))
             params = DiffusionParams(Variable(gen.uniform(0.0, 1.0, 3)))
             out = diffuse(g, u, params, h=float(gen.uniform(0.05, 1.0)),
-                          cg_iterations=4 * n, cg_tol=1e-13)
+                          cg_iterations=4 * n)
             worst_increase = max(worst_increase,
                                  dirichlet_energy(g, out.value) - dirichlet_energy(g, u.value))
         g = erdos_renyi(12, 0.5, seed=404)

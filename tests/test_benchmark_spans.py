@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 import pytest
 
 import adrgnn.autodiff as ad
@@ -51,13 +52,18 @@ def test_cg_solve_records_its_own_tape_entry():
     with Tape() as tape:
         out = ad.cg_solve(lambda x: 0.5 * x, rhs, Variable(np.ones(2)), h=1.0)
     assert out.tape_id == len(tape.records) - 1
-    # A = I + h*kappa*L = 1.5 I, so the rhs adjoint of ones is 1/1.5 and the
-    # kappa gradient is -h * sum(g_rhs * L u) = -3 * (1/1.5) * (0.5/1.5) per channel
+    # L = 0.5 I, so the degree-5 series is p(-0.5) times the identity, for p
+    # the first six Chebyshev coefficients of r(x) = 1 / (1 + h kappa (1 + x))
+    # at h = kappa = 1; the kappa gradient of sum(g * u) for g = rhs = ones is
+    # 3 q(-0.5) per channel, for q those of dr/dkappa = -(1 + x) r(x)^2
+    r = cheb.Chebyshev.interpolate(lambda x: 1.0 / (2.0 + x), 60).coef[:6]
+    q = cheb.Chebyshev.interpolate(lambda x: -(1.0 + x) / (2.0 + x) ** 2, 60).coef[:6]
+    np.testing.assert_allclose(out.value, np.full((3, 2), cheb.chebval(-0.5, r)), rtol=1e-12)
     _, _, rule = tape.records[out.tape_id]
     g_rhs, g_kappa = rule(np.ones((3, 2)))
-    np.testing.assert_allclose(g_rhs, np.full((3, 2), 1 / 1.5), rtol=1e-12)
+    np.testing.assert_allclose(g_rhs, np.full((3, 2), cheb.chebval(-0.5, r)), rtol=1e-12)
     assert g_kappa.shape == (2,)
-    np.testing.assert_allclose(g_kappa, np.full(2, -3 * 0.5 / 1.5 ** 2), rtol=1e-12)
+    np.testing.assert_allclose(g_kappa, np.full(2, 3 * cheb.chebval(-0.5, q)), rtol=1e-12)
 
 
 def test_traced_training_reaches_every_wrapped_stage(tracing):

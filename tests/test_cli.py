@@ -227,6 +227,14 @@ class TestEvalCommand:
         rows = read_csv(out / "metrics.csv")
         assert any(r["metric"] == "accuracy" for r in rows)
 
+    def test_manifest_is_written_before_the_checkpoint_is_loaded(self, toy_dataset,
+                                                                 tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(tmp_path / "missing.bin"),
+                     "--dataset", str(toy_dataset), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "eval" and manifest["outputs"] == []
+
     @pytest.mark.parametrize("terms", ["A", "AD"])
     def test_term_ablated_checkpoint_eval_matches_training_metrics(self, toy_dataset,
                                                                    tmp_path, capsys, terms):
@@ -322,6 +330,31 @@ class TestAblateCommand:
         assert code == 0
         rows = read_csv(out / "ablation.csv")
         assert {r["terms"] for r in rows} == {"A", "ADR"}
+
+
+# each command with its non-default run options, their record, and its outputs
+RERUNS = {
+    "train": (["--splits", "1"], {"splits": 1, "normalize": "per_node"},
+              ["metrics.csv", "metrics.jsonl", "checkpoint.bin"]),
+    "energy": (["--depths", "2,4", "--split", "1"], {"depths": [2, 4], "split": 1},
+               ["energy.csv"]),
+    "ablate": (["--terms-list", "a,DR", "--splits", "1"],
+               {"terms_list": ["A", "DR"], "splits": 1}, ["ablation.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_rerun_from_own_manifest_is_byte_identical(command, toy_dataset, tmp_path):
+    flags, recorded, outputs = RERUNS[command]
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main([command, "--dataset", str(toy_dataset), "--out", str(first),
+                 "--config", str(fast_config(tmp_path)), "--epochs", "3", *flags]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["run_options"] == recorded
+    assert main([command, "--dataset", str(toy_dataset), "--out", str(rerun),
+                 "--config", str(first / "manifest.json")]) == 0
+    for name in outputs:
+        assert (rerun / name).read_bytes() == (first / name).read_bytes(), name
 
 
 class TestUsageErrors:

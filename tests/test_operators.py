@@ -226,7 +226,7 @@ class TestDiffuse:
     def test_two_node_closed_form(self, path2):
         u = Variable(np.array([[1.0], [0.0]]))
         params = DiffusionParams(Variable(np.array([1.0])))
-        out = diffuse(path2, u, params, h=1.0, cg_iterations=2)
+        out = diffuse(path2, u, params, h=1.0, cg_iterations=40)
         np.testing.assert_allclose(out.value, [[2.0 / 3.0], [1.0 / 3.0]], atol=1e-14)
 
     def test_energy_never_increases(self):
@@ -237,7 +237,7 @@ class TestDiffuse:
             u = Variable(gen.standard_normal((n, 3)))
             params = DiffusionParams(Variable(gen.uniform(0.0, 1.0, 3)))
             out = diffuse(g, u, params, h=float(gen.uniform(0.05, 1.0)),
-                          cg_iterations=4 * n, cg_tol=1e-13)
+                          cg_iterations=4 * n)
             assert dirichlet_energy(g, out.value) <= dirichlet_energy(g, u.value) + 1e-9
 
     def test_commutes_with_automorphism(self):
@@ -351,7 +351,7 @@ class TestAdrLayer:
         w = Variable(philox(112).standard_normal((5, 2)))
 
         def loss():
-            out = adr_layer(g, u, u0, params, h=0.6, cg_iterations=100, cg_tol=1e-13)
+            out = adr_layer(g, u, u0, params, h=0.6, cg_iterations=100)
             return ad.total_sum(ad.hadamard(out, w))
 
         wrt = ([u, u0] + params.advection.parameters()

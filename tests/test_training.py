@@ -176,6 +176,21 @@ class TestAdamW:
         assert np.array_equal(opt._m, before[1]) and np.array_equal(opt._v, before[2])
         assert opt.t == before[3]
 
+    def test_overflowing_squared_gradient_changes_nothing_and_names_parameter(self):
+        # a finite gradient above about 1.3e154 would make v infinite, and the
+        # parameter would never move again
+        params = [Variable(np.ones(2), requires_grad=True, name=f"p{i}") for i in range(3)]
+        opt = AdamW({"g": params}, {"g": 0.1}, {"g": 0.0})
+        for p in params:
+            p.grad[...] = 1.0
+        params[1].grad[0] = 1e160
+        params[2].grad[1] = 1e200
+        with pytest.raises(TrainingDiverged, match=r"^gradient of parameter 'p1' is not "
+                                                   r"finite or overflows when squared$"):
+            opt.step()
+        assert all(np.array_equal(p.value, np.ones(2)) for p in params)
+        assert not opt._m.any() and not opt._v.any() and opt.t == 0
+
     def test_parameter_listed_twice_rejected(self):
         p = Variable(np.ones(2), requires_grad=True, name="p")
         with pytest.raises(ValueError, match="more than once"):
@@ -669,16 +684,18 @@ class TestTrainStep:
         with pytest.raises(TrainingDiverged, match=r"^here: boom$"):
             train_step(opt, overflow, "here")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_temporal_divergence_names_epoch_and_window(self):
         g = erdos_renyi(5, 0.8, seed=3)
         series = philox(4).standard_normal((30, 5, 1)) * 1e300
         ds = TemporalDataset(graph=g, series=series,
                              timestamps=np.arange(30, dtype=np.float64))
-        with pytest.raises(TrainingDiverged, match=r"^epoch 0, window 0: cg_solve"):
+        with pytest.raises(TrainingDiverged, match=r"^non-finite loss at epoch 0, window 0$"):
             train_temporal(ds, flat_cfg(epochs=2, layers=1, hidden=4, loss="mse"))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("terms, message", [("A", r"^non-finite loss at step 0$"),
-                                                ("D", r"^step 0: cg_solve")])
+                                                ("D", r"^non-finite loss at step 0$")])
     def test_transport_divergence_names_the_step(self, terms, message):
         task = make_transport_task(5, 0.55, 2, seed=2)
         task = replace(task, source_features=task.source_features * 1e300)
