@@ -13,7 +13,7 @@ from .graph import (EnergyReport, Graph, build_graph, dirichlet_energy,
                     erdos_renyi, laplacian_apply)
 from .operators import (AdrLayerParams, AdvectionParams, DiffusionParams,
                         EdgeVelocities, ReactionParams, adr_layer, advect,
-                        advection_matrix, diffuse, divergence, edge_velocities,
+                        advection_matrix, diffuse, edge_velocities,
                         react, splitting_error_study)
 from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, count_parameters,
                      load_checkpoint, save_checkpoint, time_embedding)

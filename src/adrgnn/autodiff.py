@@ -11,11 +11,11 @@ one slot per input and the backward rule. An intermediate's value is
 therefore freed as soon as neither the caller nor a backward rule holds it,
 instead of living until backward ends.
 
-The primitive set covers dense linear algebra, elementwise nonlinearities,
+The primitives are dense linear algebra, elementwise nonlinearities,
 products with constant linear operators (edge gathers and scatters among
-them), a segment softmax keyed to a graph's directed-edge order, masked
-losses, and the implicit diffusion solve as a fixed Chebyshev series whose
-backward rule is exact for that series.
+them), a segment softmax over a graph's directed-edge order, masked losses,
+the advection step, which recomputes its edge velocities in backward, and
+the diffusion solve as a fixed Chebyshev series with an exact backward rule.
 """
 
 from __future__ import annotations
@@ -215,7 +215,8 @@ def _segment_max_rows(values: np.ndarray, plan: tuple) -> np.ndarray:
     head, steps = plan
     work = values.copy()
     for left, right in steps:
-        work[left] = np.maximum(np.take(work, left, axis=0), np.take(work, right, axis=0))
+        pair_max = np.take(work, left, axis=0)
+        work[left] = np.maximum(pair_max, np.take(work, right, axis=0), out=pair_max)
     return np.take(work, head, axis=0)
 
 
@@ -442,77 +443,76 @@ def fixed_sparse_matmul(matrix, matrix_t, x) -> Variable:
     return _emit(_apply_operator(matrix, x.value), (x,), bwd)
 
 
-def weighted_transport(weights, x, gather, gather_t, scatter, scatter_t) -> Variable:
-    """``scatter @ (weights * (gather @ x))`` as one op: gather rows of
-    ``x`` onto edges, weight them edgewise and sum them back onto nodes.
-    The operators are constant, as in :func:`fixed_sparse_matmul`, with
-    their transposes. The backward rule gathers ``gather @ x`` again instead
-    of keeping the edge-sized copy (recomputation for memory, Chen et al.
-    2016, arXiv 1604.06174)."""
-    weights, x = _as_variable(weights), _as_variable(x)
-    wv, xv = weights.value, x.value
-    edges = _apply_operator(gather, xv)
-    if edges.shape != wv.shape:
-        raise ValueError(f"weighted_transport: weights {wv.shape} for gathered rows {edges.shape}")
-    edges *= wv
-
-    def bwd(g):
-        g_edges = _apply_operator(scatter_t, g)
-        g_x = _apply_operator(gather_t, g_edges * wv)
-        g_edges *= _apply_operator(gather, xv)
-        return g_edges, g_x
-
-    return _emit(_apply_operator(scatter, edges), (weights, x), bwd)
-
-
-def edge_asymmetry(a1u: np.ndarray, a2u: np.ndarray, w3: np.ndarray,
-                   src: np.ndarray, dst: np.ndarray, rev: np.ndarray) -> tuple:
-    """``(hidden, asym)``: ``hidden = relu(a1u[src] + a2u[dst])`` and
-    ``asym = relu(z - z[rev])`` for ``z = hidden @ w3``, on plain arrays.
-    Either ReLU's mask is its output's positive entries."""
+def edge_hidden(a1u: np.ndarray, a2u: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """The edge MLP's hidden values ``relu(a1u[src] + a2u[dst])``, untaped."""
     hidden = np.take(a1u, src, axis=0)
     hidden += np.take(a2u, dst, axis=0)
-    np.maximum(hidden, 0.0, out=hidden)
+    return np.maximum(hidden, 0.0, out=hidden)
+
+
+def edge_asymmetry(hidden: np.ndarray, w3: np.ndarray, rev: np.ndarray) -> np.ndarray:
+    """``relu(z - z[rev])`` for ``z = hidden @ w3``, untaped; each ReLU's mask is > 0."""
     asym = hidden @ w3
     asym -= np.take(asym, rev, axis=0)
-    np.maximum(asym, 0.0, out=asym)
-    return hidden, asym
+    return np.maximum(asym, 0.0, out=asym)
 
 
-def edge_scores(u, w1, b1, w2, b2, w3, w4, src, dst, scatter_src, scatter_dst, rev) -> Variable:
-    """Pre-softmax edge scores ``edge_asymmetry(a1u, a2u, w3, ...)[1] @ w4``
-    as one op, for the node maps ``a1u = u @ w1 + b1`` and
-    ``a2u = u @ w2 + b2``.
+def advection(u, velocities: np.ndarray, h: float, graph, source: Sequence = ()) -> Variable:
+    """Forward Euler transport step ``u + h (scatter_dst @ (v * u[src]) - keep * u)``
+    as one op, for velocities ``v`` in ``graph``'s edge order and ``keep`` its
+    non-isolated nodes' 0/1 column. With no ``source``, ``v`` is constant and
+    kept by the record. Else ``v`` is the :func:`segment_softmax` of the scores
+    ``edge_asymmetry(edge_hidden(f @ w1 + b1, f @ w2 + b2, ...), w3, ...) @ w4``
+    for ``source = (f, w1, b1, w2, b2, w3, w4)``; the record keeps ``u`` and the
+    source, and the rule recomputes the scores and ``v`` once, then runs the
+    transport, softmax and score rules (Chen et al. 2016, arXiv 1604.06174).
+    ``u`` is three inputs and ``f`` two, so gradients sum their parts in the
+    order of separate records: u's identity, outflow, inflow, then f's a2, a1."""
+    u, h = _as_variable(u), float(h)
+    uv, src, dst = u.value, graph.edge_src, graph.edge_dst
+    if velocities.shape != (len(src), uv.shape[1]):
+        raise ValueError(f"advection: velocities {velocities.shape} for {len(src)} edge rows")
+    keep = (~graph.isolated).astype(uv.dtype)[:, None]
+    inflow = np.take(uv, src, axis=0)
+    out = graph.scatter_dst @ np.multiply(inflow, velocities, out=inflow)
+    out -= uv * keep
+    out *= h
+    out += uv
+    if not source:
+        def bwd_constant(g):
+            hg = g * h
+            return g, -hg * keep, graph.scatter_src @ (np.take(hg, dst, axis=0) * velocities)
 
-    The node maps are gathered onto edges by ``src`` and ``dst``, whose
-    transposes are ``scatter_src`` and ``scatter_dst``; ``rev`` is the
-    reverse-edge involution. The record keeps only ``u`` and the weights:
-    backward recomputes the node maps and the edge-sized values (Chen et al.
-    2016, arXiv 1604.06174). ``u`` is listed twice among the inputs, for
-    the a2 and then the a1 map, so its gradient sums the two parts in the
-    order two separate ``matmul`` records would give them."""
-    u, w1, b1, w2, b2, w3, w4 = (_as_variable(v) for v in (u, w1, b1, w2, b2, w3, w4))
-    uv, w1v, b1v, w2v, b2v, w3v, w4v = (v.value for v in (u, w1, b1, w2, b2, w3, w4))
-    _, asym = edge_asymmetry(_affine(uv, w1v, b1v), _affine(uv, w2v, b2v), w3v, src, dst, rev)
+        return _emit(out, (u, u, u), bwd_constant)
+    source = [_as_variable(v) for v in source]  # tuple(<genexpr>) would grow a free list
+    fv, w1v, b1v, w2v, b2v, w3v, w4v = (v.value for v in source)
 
-    def bwd(g):
-        hidden, asym = edge_asymmetry(_affine(uv, w1v, b1v), _affine(uv, w2v, b2v), w3v,
-                                      src, dst, rev)
-        g_w4 = asym.T @ g
-        g_d = g @ w4v.T
+    def bwd(g):  # reads the edge arrays off the graph: the record keeps none
+        hg, src, dst, scatter_src = g * h, graph.edge_src, graph.edge_dst, graph.scatter_src
+        a1u, a2u = _affine(fv, w1v, b1v), _affine(fv, w2v, b2v)
+        asym = edge_asymmetry(edge_hidden(a1u, a2u, src, dst), w3v, graph.rev_edge)
+        y = segment_softmax(asym @ w4v, src, scatter_src, graph.max_plan).value
+        g_y = np.take(hg, dst, axis=0)
+        g_u = scatter_src @ (g_y * y)
+        g_y *= np.take(uv, src, axis=0)
+        g_y -= np.take(scatter_src @ (y * g_y), src, axis=0)
+        g_y *= y  # the softmax rule, in place
+        del y
+        g_w4 = asym.T @ g_y
+        g_d = g_y @ w4v.T
         g_d *= asym > 0
-        del asym
-        g_z = g_d - np.take(g_d, rev, axis=0)
-        del g_d
-        g_w3 = hidden.T @ g_z
-        g_hidden = g_z @ w3v.T
+        del asym, g_y
+        g_d -= np.take(g_d, graph.rev_edge, axis=0)
+        hidden = edge_hidden(a1u, a2u, src, dst)  # again: not kept over the softmax
+        g_w3 = hidden.T @ g_d
+        g_hidden = g_d @ w3v.T
         g_hidden *= hidden > 0
-        del hidden, g_z
-        g1, g2 = scatter_src @ g_hidden, scatter_dst @ g_hidden
-        return (g2 @ w2v.T, g1 @ w1v.T, uv.T @ g1, g1.sum(axis=0), uv.T @ g2, g2.sum(axis=0),
-                g_w3, g_w4)
+        del hidden, g_d
+        g1, g2 = scatter_src @ g_hidden, graph.scatter_dst @ g_hidden
+        return (g, -hg * keep, g_u, g2 @ w2v.T, g1 @ w1v.T, fv.T @ g1, g1.sum(axis=0),
+                fv.T @ g2, g2.sum(axis=0), g_w3, g_w4)
 
-    return _emit(asym @ w4v, (u, u, w1, b1, w2, b2, w3, w4), bwd)
+    return _emit(out, (u, u, u, source[0], *source), bwd)
 
 
 def total_sum(x) -> Variable:

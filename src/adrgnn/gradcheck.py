@@ -8,11 +8,11 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tape, Variable, backward
+from .autodiff import BatchNormState, Linear, Tape, Variable, backward
 from .graph import erdos_renyi, laplacian_apply
 from .models import (AdrGnnStatic, AdrGnnTemporal, broadcast_time_embedding,
                      time_embedding)
-from .operators import AdrLayerParams, adr_layer
+from .operators import AdrLayerParams, AdvectionParams, adr_layer, advect, edge_velocities
 from .runtime import philox
 
 PRIMITIVE_TOL = 1e-5
@@ -74,6 +74,8 @@ def primitive_checks(seed: int = 0) -> list[dict]:
     w4 = Variable(rng.standard_normal((c, c)), requires_grad=True)
     bias2 = Variable(rng.standard_normal(c), requires_grad=True)
     bn_state = BatchNormState.zeros(c)
+    # velocities from y: the op records them with this network, apart from x
+    velocity_net = AdvectionParams(Linear(w, bias), Linear(w2, bias2), Linear(w3), Linear(w4))
 
     cases = {
         "matmul": (lambda: _weighted_sum(ad.matmul(x, w), philox(seed + 3)), [x, w]),
@@ -97,13 +99,9 @@ def primitive_checks(seed: int = 0) -> list[dict]:
         "rev_edge_gather": (lambda: _weighted_sum(
             ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, edge_vals), philox(seed + 19)),
             [edge_vals]),
-        "weighted_transport": (lambda: _weighted_sum(
-            ad.weighted_transport(edge_vals, x, g.edge_src, g.scatter_src, g.scatter_dst,
-                                  g.edge_dst), philox(seed + 23)), [edge_vals, x]),
-        "edge_scores": (lambda: _weighted_sum(
-            ad.edge_scores(x, w, bias, w2, bias2, w3, w4, g.edge_src, g.edge_dst,
-                           g.scatter_src, g.scatter_dst, g.rev_edge), philox(seed + 24)),
-            [x, w, bias, w2, bias2, w3, w4]),
+        "advection": (lambda: _weighted_sum(
+            advect(g, x, edge_velocities(g, y, velocity_net), 0.7), philox(seed + 23)),
+            [x, y, w, bias, w2, bias2, w3, w4]),
         "segment_softmax": (lambda: _weighted_sum(
             ad.segment_softmax(edge_vals, g.edge_src, g.scatter_src, g.max_plan),
             philox(seed + 16)), [edge_vals]),

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from .autodiff import Linear, Variable
 from .graph import Graph, dirichlet_energy
-from .operators import AdrLayerParams, ReactionParams, adr_layer
+from .operators import AdrLayerParams, ReactionParams, adr_layer, check_step_size
 from .runtime import SeedStream, default_dtype
 
 
@@ -154,8 +154,7 @@ class AdrGnnStatic(ParameterRegistry):
              terms: str = "ADR", seed: int = 0) -> "AdrGnnStatic":
         if layers < 1:
             raise ValueError("layers must be >= 1")
-        if not 0 < h <= 1:
-            raise ValueError(f"h={h} outside (0, 1]")
+        check_step_size(h, "AdrGnnStatic.init")
         stream = SeedStream(seed)
         g_in = Linear.init(c_in, hidden, stream.child(), name="g_in")
         layer_params = [
@@ -262,6 +261,7 @@ class AdrGnnTemporal(ParameterRegistry):
              seed: int = 0) -> "AdrGnnTemporal":
         if tau_in < 1 or tau_out < 1:
             raise ValueError("tau_in and tau_out must be >= 1")
+        check_step_size(h, "AdrGnnTemporal.init")
         c_t = 2 * n_frequencies
         stream = SeedStream(seed)
         g_time_embed = Linear.init(tau_in * c_t, hidden, stream.child(), name="g_time_embed")

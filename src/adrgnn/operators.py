@@ -3,7 +3,9 @@ operator-split composition into a single layer.
 
 Advection transports node features along directed edges using learned
 velocities whose outbound weights sum to 1 per node and channel, which
-makes the update mass conserving and column stochastic. Diffusion takes an
+makes the update mass conserving and column stochastic. The velocities are
+computed untaped; the advection step records them with the network they
+came from, as one op that recomputes them in backward. Diffusion takes an
 implicit Euler step of the normalized-Laplacian heat flow, applied per
 channel as a fixed-degree Chebyshev series in the Laplacian. Reaction is a
 pointwise MLP update with a skip connection to the initial embedding. One
@@ -146,9 +148,13 @@ class AdrLayerParams:
 @dataclass
 class EdgeVelocities:
     """Per-directed-edge, per-channel transport weights in the graph's edge
-    order; outbound weights of every non-isolated node sum to 1 per channel."""
+    order; outbound weights of every non-isolated node sum to 1 per channel.
+    ``features`` and ``params`` are the velocity network the weights came
+    from (:func:`edge_velocities`); weights without them are constants."""
 
     values: Variable
+    features: Optional[Variable] = None
+    params: Optional[AdvectionParams] = None
 
 
 # ---------------------------------------------------------------------------
@@ -165,46 +171,46 @@ def edge_velocities(g: Graph, u, params: AdvectionParams,
 
     a1 and a2 are applied on node rows and gathered onto edges (the maps
     commute with row selection), which keeps the dense work node-sized.
-    Everything from the a1 and a2 maps to a4 is the one op
-    :func:`ad.edge_scores`, whose record keeps ``u`` and the weights and
-    recomputes the node maps and the edge-sized values in backward.
+    Nothing is taped here: the weights carry ``u`` and ``params``, and
+    :func:`advect` records them as one op with the transport, whose record
+    keeps ``u`` and the weights and recomputes the velocities in backward.
 
     With ``return_prenorm`` the two ReLU(z_ij - z_ji) orientations are also
     returned, as untaped Variables.
     """
     u = ad._as_variable(u)
     a1, a2 = params.a1, params.a2
-    pre = ad.edge_scores(u, a1.w, a1.b, a2.w, a2.b, params.a3.w, params.a4.w, g.edge_src,
-                         g.edge_dst, g.scatter_src, g.scatter_dst, g.rev_edge)
-    v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan))
-    if not return_prenorm:
-        return v
-    a1u, a2u = (ad._affine(u.value, lin.w.value, lin.b.value) for lin in (a1, a2))
-    _, asym = ad.edge_asymmetry(a1u, a2u, params.a3.w.value, g.edge_src, g.edge_dst,
-                                g.rev_edge)
-    return v, Variable(asym), Variable(np.take(asym, g.rev_edge, axis=0))
+    asym = ad.edge_asymmetry(ad.edge_hidden(ad._affine(u.value, a1.w.value, a1.b.value),
+                                            ad._affine(u.value, a2.w.value, a2.b.value),
+                                            g.edge_src, g.edge_dst),
+                             params.a3.w.value, g.rev_edge)
+    pre = asym @ params.a4.w.value
+    prenorm = ((Variable(asym), Variable(np.take(asym, g.rev_edge, axis=0)))
+               if return_prenorm else ())
+    del asym
+    v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan),
+                       u, params)
+    return (v, *prenorm) if return_prenorm else v
 
 
-def divergence(g: Graph, v: EdgeVelocities, u) -> Variable:
-    """Net transport into each node: the inbound velocity-weighted neighbor
-    sum minus the node's own features. Isolated nodes get zero rows."""
-    u = ad._as_variable(u)
-    if v.values.value.shape[0] != g.n_edges:
-        raise ValueError(
-            f"divergence: {v.values.value.shape[0]} edge rows for graph with {g.n_edges} edges")
-    inbound = ad.weighted_transport(v.values, u, g.edge_src, g.scatter_src,
-                                    g.scatter_dst, g.edge_dst)
-    outflow = ad.hadamard(u, (~g.isolated).astype(float)[:, None])
-    return ad.subtract(inbound, outflow)
+def check_step_size(h: float, where: str) -> None:
+    """Every term's step is stable, and advection mass conserving and
+    nonnegative, for step sizes h in (0, 1]."""
+    if not 0 < h <= 1:
+        raise ValueError(f"{where}: h={h} outside (0, 1]")
 
 
 def advect(g: Graph, u, v: EdgeVelocities, h: float) -> Variable:
-    """Forward Euler transport step u + h * DIV(v, u); mass conserving and
-    stable for h in (0, 1]."""
-    if not 0 < h <= 1:
-        raise ValueError(f"advect: h={h} outside (0, 1]")
-    u = ad._as_variable(u)
-    return ad.add(u, ad.scale_by_scalar(divergence(g, v, u), h))
+    """Forward Euler transport step u + h * DIV(v, u), where DIV(v, u) is
+    the inbound velocity-weighted neighbor sum minus the node's own
+    features, and isolated nodes get zero rows; mass conserving and stable
+    for h in (0, 1]. One taped op (:func:`ad.advection`), which records the
+    velocity network of weights from :func:`edge_velocities` and treats
+    other weights as constants."""
+    check_step_size(h, "advect")
+    p = v.params
+    source = () if p is None else (v.features, p.a1.w, p.a1.b, p.a2.w, p.a2.b, p.a3.w, p.a4.w)
+    return ad.advection(u, v.values.value, h, g, source)
 
 
 def advection_matrix(g: Graph, v: EdgeVelocities, h: float, channel: int) -> np.ndarray:
@@ -276,16 +282,20 @@ def adr_layer(g: Graph, u, u0, params: AdrLayerParams, h: float,
     reaction. ``terms`` selects the active subset (inactive terms are the
     identity); ``velocity_features`` optionally computes edge velocities
     from features other than ``u`` (the temporal model's history pathway).
+    The step size h must lie in (0, 1] whichever terms are active.
     """
     terms = terms.upper()
     if not terms or any(t not in "ADR" for t in terms):
         raise ValueError(f"adr_layer: terms must be a non-empty subset of 'ADR', got {terms!r}")
+    check_step_size(h, "adr_layer")
     u = ad._as_variable(u)
     velocities = None
     if "A" in terms:
         vel_in = u if velocity_features is None else ad._as_variable(velocity_features)
         velocities = edge_velocities(g, vel_in, params.advection)
         u_adv = advect(g, u, velocities, h)
+        if not diagnostics:
+            velocities = None  # the record recomputes them: free the edge-sized values
     else:
         u_adv = u
     if "D" in terms:

@@ -580,35 +580,41 @@ class TestLinear:
 
 
 class TestWeightedTransport:
+    """``ad.advection`` with constant velocities: the gather, weight and
+    scatter of its transport, with the outflow and the Euler step."""
+
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("name", list(_segment_graphs()))
     def test_matches_gather_hadamard_scatter_bit_for_bit(self, name, dtype):
-        """The one-record transport gives the value and both gradients of
-        the gather, hadamard, scatter composition, to the bit."""
+        """The one-record step gives the value and the gradient of the
+        gather, hadamard, scatter, outflow, subtract, scale and add
+        composition, to the bit."""
         previous = default_dtype().name
         set_default_dtype(dtype)
         try:
             g = _segment_graphs()[name]
             gen = philox(31)
-            w0 = gen.random((g.n_edges, 3))
+            w = Variable(gen.random((g.n_edges, 3)))
             x0 = gen.standard_normal((g.n_nodes, 3))
             upstream = Variable(gen.standard_normal((g.n_nodes, 3)))
+            keep = Variable((~g.isolated)[:, None])
             results = []
             for fused in (True, False):
-                w, x = Variable(w0, requires_grad=True), Variable(x0, requires_grad=True)
+                x = Variable(x0, requires_grad=True)
                 with Tape() as tape:
                     if fused:
-                        y = ad.weighted_transport(w, x, g.edge_src, g.scatter_src,
-                                                  g.scatter_dst, g.edge_dst)
+                        y = ad.advection(x, w.value, 0.6, g)
                     else:
                         x_src = ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, x)
-                        y = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst,
-                                                   ad.hadamard(w, x_src))
+                        inbound = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst,
+                                                         ad.hadamard(w, x_src))
+                        y = ad.add(x, ad.scale_by_scalar(
+                            ad.subtract(inbound, ad.hadamard(x, keep)), 0.6))
                     loss = ad.total_sum(ad.hadamard(y, upstream))
                 backward(tape, loss)
-                results.append((y.value, w.grad, x.grad, len(tape.records)))
+                results.append((y.value, x.grad, len(tape.records)))
             (*fused_arrays, fused_records), (*composed_arrays, composed_records) = results
-            assert fused_records == composed_records - 2
+            assert fused_records == composed_records - 6
             for got, want in zip(fused_arrays, composed_arrays):
                 assert got.dtype == want.dtype == np.dtype(dtype)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -617,6 +623,5 @@ class TestWeightedTransport:
 
     def test_weights_must_match_the_gathered_rows(self):
         g = _segment_graphs()["erdos_renyi_6"]
-        with pytest.raises(ValueError, match="weighted_transport"):
-            ad.weighted_transport(np.ones((g.n_edges, 2)), np.ones((g.n_nodes, 3)),
-                                  g.edge_src, g.scatter_src, g.scatter_dst, g.edge_dst)
+        with pytest.raises(ValueError, match="advection"):
+            ad.advection(np.ones((g.n_nodes, 3)), np.ones((g.n_edges, 2)), 0.5, g)

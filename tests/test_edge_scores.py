@@ -1,5 +1,5 @@
-"""The one-record edge-score op against the composition it replaced, the
-tape it leaves, and float32 end to end."""
+"""The one-record advection op against the composition of separate records
+it replaced, the tape it leaves, and float32 end to end."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.graph import build_graph, erdos_renyi
 from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline,
                            broadcast_time_embedding, time_embedding)
-from adrgnn.operators import AdrLayerParams, AdvectionParams, EdgeVelocities, adr_layer
+from adrgnn.operators import (AdrLayerParams, AdvectionParams, adr_layer, advect, diffuse,
+                              react)
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
 
@@ -37,80 +38,111 @@ def _reference_edge_scores(g, u, a1, a2, w3, w4):
 
 
 def _reference_edge_velocities(g, u, params, return_prenorm=False):
+    """The taped velocities: the scores, then a segment-softmax record."""
     u = ad._as_variable(u)
     pre, (z, z_rev) = _reference_edge_scores(g, u, params.a1, params.a2, params.a3.w,
                                              params.a4.w)
-    v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan))
+    v = ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan)
     if return_prenorm:
         return v, ad.relu(ad.subtract(z, z_rev)), ad.relu(ad.subtract(z_rev, z))
     return v
+
+
+def _reference_advect(g, u, velocities, h):
+    """The transport as gather, hadamard and scatter records, then the
+    outflow hadamard, subtract, scale and add records."""
+    inbound = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst, ad.hadamard(
+        velocities, ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, u)))
+    outflow = ad.hadamard(u, (~g.isolated).astype(float)[:, None])
+    return ad.add(u, ad.scale_by_scalar(ad.subtract(inbound, outflow), h))
+
+
+def _reference_layer(g, u, u0, params, h, velocity_features=None):
+    """The ADR layer with its advection written out as separate records."""
+    vel_in = u if velocity_features is None else velocity_features
+    u_adv = _reference_advect(g, u, _reference_edge_velocities(g, vel_in, params.advection), h)
+    return react(diffuse(g, u_adv, params.diffusion, h), u0, params.reaction, h, train=True)
 
 
 def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.fixture
+def float32_mode():
+    previous = default_dtype().name
+    set_default_dtype("float32")
+    yield
+    set_default_dtype(previous)
+
+
 class TestEdgeScoresBitIdentical:
     @pytest.mark.parametrize("name", list(_graphs()))
     def test_value_and_four_gradients(self, name):
         """Output and the gradients of u and of the four maps: a1 and a2
-        (weight and bias), a3 and a4, with u also used outside the op."""
+        (weight and bias), a3 and a4, with velocities from u and u also
+        used outside the op, so its gradient sums six parts in order."""
         g = _graphs()[name]
         gen = philox(70)
         c = 4
         u_value = gen.standard_normal((g.n_nodes, c))
-        upstream = Variable(gen.standard_normal((g.n_edges, c)))
+        upstream = Variable(gen.standard_normal((g.n_nodes, c)))
         outside = Variable(gen.standard_normal((g.n_nodes, c)))
         biases = gen.standard_normal((2, c))
         results = []
         for fused in (True, False):
             params = AdvectionParams.init(c, philox(75))
-            a1, a2 = params.a1, params.a2
-            a1.b.value[:], a2.b.value[:] = biases  # nonzero, so their use is checked
+            params.a1.b.value[:], params.a2.b.value[:] = biases  # nonzero, so their use is checked
             u = Variable(u_value, requires_grad=True)
             with Tape() as tape:
                 if fused:
-                    out = ad.edge_scores(u, a1.w, a1.b, a2.w, a2.b, params.a3.w, params.a4.w,
-                                         g.edge_src, g.edge_dst, g.scatter_src, g.scatter_dst,
-                                         g.rev_edge)
+                    out = advect(g, u, operators.edge_velocities(g, u, params), 0.7)
                 else:
-                    out, _ = _reference_edge_scores(g, u, a1, a2, params.a3.w, params.a4.w)
+                    out = _reference_advect(g, u, _reference_edge_velocities(g, u, params), 0.7)
                 loss = ad.add(ad.total_sum(ad.hadamard(out, upstream)),
                               ad.total_sum(ad.hadamard(u, outside)))
             backward(tape, loss)
             results.append(([out.value, u.grad] + [p.grad for p in params.parameters()],
                             len(tape.records)))
         (fused, fused_records), (composed, composed_records) = results
-        assert fused_records == composed_records - 10
+        assert fused_records == composed_records - 18
         for got, want in zip(fused, composed):
             assert _same_bytes(got, want)
 
     @pytest.mark.parametrize("separate", [False, True], ids=["u", "velocity_features"])
     @pytest.mark.parametrize("name", list(_graphs()))
-    def test_through_the_layer(self, name, separate, monkeypatch):
+    def test_through_the_layer(self, name, separate):
         """A whole taped ADR layer, velocities from ``u`` itself (whose
-        gradient then sums several uses) or from ``velocity_features``:
-        output and every gradient equal the nine-record layer's."""
+        gradient then sums several uses) or from ``velocity_features``, in
+        float64 and float32: output and every gradient equal those of the
+        layer whose advection is written out as separate records."""
         g = _graphs()[name]
         c = 3
         gen = philox(71)
         values = [gen.standard_normal((g.n_nodes, c)) for _ in range(3)]
-        upstream = Variable(gen.standard_normal((g.n_nodes, c)))
-        results = []
-        for reference in (False, True):
-            if reference:
-                monkeypatch.setattr(operators, "edge_velocities", _reference_edge_velocities)
-            params = AdrLayerParams.init(c, philox(72))
-            u, u0, feats = (Variable(v, requires_grad=True) for v in values)
-            with Tape() as tape:
-                out = adr_layer(g, u, u0, params, h=0.7, train=True,
-                                velocity_features=feats if separate else None)
-                loss = ad.total_sum(ad.hadamard(out, upstream))
-            backward(tape, loss)
-            wrt = [u, u0, feats] + params.advection.parameters()
-            results.append([out.value] + [v.grad for v in wrt])
-        for got, want in zip(*results):
-            assert _same_bytes(got, want)
+        previous = default_dtype().name
+        try:
+            for dtype in ("float64", "float32"):
+                set_default_dtype(dtype)
+                upstream = Variable(gen.standard_normal((g.n_nodes, c)))
+                results = []
+                for reference in (False, True):
+                    params = AdrLayerParams.init(c, philox(72))
+                    u, u0, feats = (Variable(v, requires_grad=True) for v in values)
+                    layer = _reference_layer if reference else adr_layer
+                    with Tape() as tape:
+                        out = layer(g, u, u0, params, 0.7,
+                                    velocity_features=feats if separate else None)
+                        loss = ad.total_sum(ad.hadamard(out, upstream))
+                    backward(tape, loss)
+                    wrt = [u, u0, feats] + [p for _group, part in params.parts()
+                                            for p in part.parameters()]
+                    results.append([out.value] + [v.grad for v in wrt])
+                for got, want in zip(*results):
+                    assert got.dtype == np.dtype(dtype)
+                    assert _same_bytes(got, want)
+        finally:
+            set_default_dtype(previous)
 
     @pytest.mark.parametrize("name", list(_graphs()))
     def test_prenorm_orientations(self, name):
@@ -119,7 +151,7 @@ class TestEdgeScoresBitIdentical:
         u = Variable(philox(74).standard_normal((g.n_nodes, 3)))
         got = operators.edge_velocities(g, u, params, return_prenorm=True)
         want = _reference_edge_velocities(g, u, params, return_prenorm=True)
-        assert _same_bytes(got[0].values.value, want[0].values.value)
+        assert _same_bytes(got[0].values.value, want[0].value)
         for got_part, want_part in zip(got[1:], want[1:]):
             assert _same_bytes(got_part.value, want_part.value)
 
@@ -156,30 +188,35 @@ def _tape_arrays(tape) -> list[np.ndarray]:
     return list(buffers.values())
 
 
-@pytest.mark.parametrize("layers", [1, 3])
-def test_taped_forward_keeps_one_edge_array_per_layer(layers):
-    """Of the edge-sized values of a taped static forward (with dropout),
-    the tape keeps only each layer's velocities."""
+def _static_loss(layers):
     g = erdos_renyi(40, 0.2, seed=2)
-    hidden = 6
-    assert g.n_edges not in (g.n_nodes, hidden)
-    model = AdrGnnStatic.init(c_in=5, c_out=3, hidden=hidden, layers=layers, h=1.0,
+    model = AdrGnnStatic.init(c_in=5, c_out=3, hidden=6, layers=layers, h=1.0,
                               dropout_io=0.5, dropout_hidden=0.3, seed=1)
     x = philox(3).standard_normal((40, 5))
+    return g, lambda: ad.cross_entropy(model.forward(g, x, train=True, rng=SeedStream(4)),
+                                       philox(5).integers(0, 3, 40))
+
+
+def _temporal_loss(layers):
+    g = erdos_renyi(12, 0.5, seed=2)
+    model = AdrGnnTemporal.init(c_in=1, c_out=1, hidden=5, layers=layers, h=0.5, tau_in=3,
+                                tau_out=1, n_frequencies=2, dropout_io=0.2,
+                                dropout_hidden=0.2, seed=3)
+    x = philox(5).standard_normal((12, 3))
+    emb = broadcast_time_embedding(time_embedding([0.0, 1.0, 2.0], 2), 12)
+    return g, lambda: ad.mse(model.forward(g, x, emb, train=True, rng=SeedStream(7)),
+                             philox(6).standard_normal((12, 1)))
+
+
+@pytest.mark.parametrize("model, layers", [("static", 1), ("static", 3), ("temporal", 2)])
+def test_taped_forward_keeps_no_edge_array(model, layers):
+    """A taped forward (with dropout) keeps no array with a row per directed
+    edge: the advection record recomputes its velocities in backward."""
+    g, build_loss = {"static": _static_loss, "temporal": _temporal_loss}[model](layers)
     with Tape() as tape:
-        ad.cross_entropy(model.forward(g, x, train=True, rng=SeedStream(4)),
-                         philox(5).integers(0, 3, 40))
-    edge_arrays = [a for a in _tape_arrays(tape) if a.ndim == 2 and a.shape[0] == g.n_edges]
-    assert len(edge_arrays) == layers
-    assert all(a.shape == (g.n_edges, hidden) for a in edge_arrays)
-
-
-@pytest.fixture
-def float32_mode():
-    previous = default_dtype().name
-    set_default_dtype("float32")
-    yield
-    set_default_dtype(previous)
+        build_loss()
+    assert g.n_edges > 2 * g.n_nodes  # so no node-sized array has a row per edge
+    assert [a.shape for a in _tape_arrays(tape) if a.ndim and a.shape[0] == g.n_edges] == []
 
 
 def _float32_run(monkeypatch, build_loss, params) -> int:
@@ -223,7 +260,9 @@ class TestFloat32Tape:
         records = _float32_run(monkeypatch, lambda: ad.cross_entropy(
             model.forward(g, x, train=True, rng=SeedStream(5)), labels),
             list(model.named_parameters().values()))
-        assert records > 40
+        # per ADR layer: dropout, advection, hardtanh and the diffusion
+        # series, and 10 reaction records; dropouts, maps and the loss around
+        assert records == 32
 
     def test_temporal(self, monkeypatch):
         g = erdos_renyi(6, 0.6, seed=2)
@@ -236,7 +275,7 @@ class TestFloat32Tape:
         records = _float32_run(monkeypatch, lambda: ad.mse(
             model.forward(g, x, emb, train=True, rng=SeedStream(7)), target),
             list(model.named_parameters().values()))
-        assert records > 40
+        assert records == 40
 
     def test_gcn(self, monkeypatch):
         g = erdos_renyi(30, 0.2, seed=1)

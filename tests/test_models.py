@@ -206,6 +206,12 @@ class TestTemporalForward:
         emb = broadcast_time_embedding(time_embedding(np.arange(tau_in, dtype=float), 3), 6)
         return g, model, x, emb
 
+    @pytest.mark.parametrize("h", [1.5, 0.0])
+    def test_step_size_checked_at_init(self, h):
+        with pytest.raises(ValueError, match="outside"):
+            AdrGnnTemporal.init(c_in=2, c_out=2, hidden=4, layers=1, h=h, tau_in=1,
+                                tau_out=1)
+
     def test_shapes_and_determinism(self):
         g, model, x, emb = self._build()
         a = model.forward(g, x, emb).value

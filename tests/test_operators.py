@@ -10,8 +10,8 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.operators import (AdrLayerParams, AdvectionParams, DiffusionParams,
                               EdgeVelocities, ReactionParams, adr_layer, advect,
-                              advection_matrix, diffuse, divergence,
-                              edge_velocities, react, splitting_error_study)
+                              advection_matrix, diffuse, edge_velocities, react,
+                              splitting_error_study)
 from adrgnn.runtime import philox
 
 from conftest import check_grads, random_velocities
@@ -59,6 +59,12 @@ class TestEdgeVelocities:
         params = AdvectionParams.init(3, philox(0))
         assert params.a1.b is not None and params.a2.b is not None
         assert params.a3.b is None and params.a4.b is None
+
+
+def divergence(g, v, u):
+    """The transport term DIV(v, u) of ``advect``, as its step at h = 1
+    minus u."""
+    return ad.subtract(advect(g, u, v, 1.0), u)
 
 
 class TestDivergence:
@@ -341,6 +347,16 @@ class TestAdrLayer:
             adr_layer(g, u, u, params, h=0.5, terms="")
         with pytest.raises(ValueError, match="terms"):
             adr_layer(g, u, u, params, h=0.5, terms="AX")
+
+    @pytest.mark.parametrize("terms", ["A", "D", "R", "DR", "ADR"])
+    def test_step_size_checked_for_every_term_subset(self, terms):
+        g = erdos_renyi(6, 0.6, seed=106)
+        params = AdrLayerParams.init(2, philox(107))
+        u = Variable(philox(108).standard_normal((6, 2)))
+        for h in (2.0, 0.0, -0.5):
+            with pytest.raises(ValueError, match="adr_layer: h=.* outside"):
+                adr_layer(g, u, u, params, h=h, terms=terms)
+        adr_layer(g, u, u, params, h=1.0, terms=terms)
 
     def test_full_layer_gradient_check(self):
         g = erdos_renyi(5, 0.7, seed=109)

@@ -781,6 +781,12 @@ class TestTransportFit:
                                    seed=0, channels=8)
             assert result.final_mse >= 1e-2
 
+    @pytest.mark.parametrize("terms", ["R", "D", "DR", "A"])
+    def test_step_size_outside_the_unit_interval_rejected(self, task, terms):
+        for h in (3.0, 0.0):
+            with pytest.raises(ValueError, match="outside"):
+                transport_fit(task, terms, layers=1, h=h, epochs=1, channels=2)
+
     def test_reaction_preserves_equal_rows(self, task):
         """A pointwise-only model maps nodes with identical inputs to
         identical outputs, so their ranking can never change."""
