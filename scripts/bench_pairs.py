@@ -18,7 +18,8 @@ times the parent's median, unless every change run beats every parent
 run: the parent's own spread is then too wide to tell. Quartiles are
 ``statistics.quantiles(values, n=4)``, as in ``perfbench/reference.py``,
 so at least two pairs are needed. It exits 1 if a run fails or reports
-``correct: false``.
+``correct: false``, and, after printing the summary, if any metric's bound
+is ``EXCEEDED``; so it can gate a change. ``unresolved`` does not fail.
 """
 
 from __future__ import annotations
@@ -96,13 +97,20 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s: "
           "median [quartiles], parent -> change")
+    exceeded = []
     for m in spec:
         s = summarize([(p[m["name"]], c[m["name"]]) for p, c in runs], m["better"], m["bound"])
         (pm, p1, p3), (cm, c1, c3) = s["parent"], s["change"]
+        verdict = bound_verdict(s)
+        if verdict == "EXCEEDED":
+            exceeded.append(m["name"])
         print(f"{m['name']:16s} {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}]"
               f"  wins {s['wins']}/{s['pairs']}"
-              f"  bound {bound_verdict(s)}"
+              f"  bound {verdict}"
               f"  gain {'holds' if s['gain_holds'] else 'not shown'}")
+    if exceeded:
+        print(f"bound EXCEEDED: {', '.join(exceeded)}", file=sys.stderr)
+        return 1
     return 0
 
 

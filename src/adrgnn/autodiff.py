@@ -652,16 +652,23 @@ def mae(pred, target, mask=None) -> Variable:
 
 def _resolvent_weights(kappa: np.ndarray, h: float, degree: int) -> tuple:
     """Chebyshev coefficients w_0..w_degree of 1 / (1 + h kappa (1 + x)) on
-    [-1, 1], one column per channel, and their kappa derivatives, in kappa's
-    dtype (Hammond et al. 2011, arXiv 0912.3848): for s = sqrt(1 + 2 h kappa)
-    and rho = (s - 1) / (s + 1), w_0 = 1 / s and w_j = 2 (-rho)^j / s."""
+    [-1, 1], one column per channel, in kappa's dtype, and a function that
+    returns their kappa derivatives, for the backward rule only (Hammond et
+    al. 2011, arXiv 0912.3848): for s = sqrt(1 + 2 h kappa) and
+    rho = (s - 1) / (s + 1), w_0 = 1 / s and w_j = 2 (-rho)^j / s."""
     s = np.sqrt(1.0 + 2.0 * h * kappa.astype(np.float64))
-    rho, ds = (s - 1.0) / (s + 1.0), h / s  # and drho = 2 ds / (s + 1)^2
+    rho = (s - 1.0) / (s + 1.0)
     j = np.arange(degree + 1)[:, None]
     scale, power = np.where(j == 0, 1.0, 2.0) / s, (-rho) ** j
-    w = scale * power
-    dw = -scale * (j * (-rho) ** np.maximum(j - 1, 0) * 2.0 * ds / (s + 1.0) ** 2 + power * ds / s)
-    return w.astype(kappa.dtype), dw.astype(kappa.dtype)
+
+    def derivatives() -> np.ndarray:
+        ds = h / s  # and drho = 2 ds / (s + 1)^2
+        # (-rho)^(j-1); its row j = 0 is 1, which the factor j zeroes
+        lower = np.concatenate([power[:1], power[:-1]])
+        dw = -scale * (j * lower * 2.0 * ds / (s + 1.0) ** 2 + power * ds / s)
+        return dw.astype(kappa.dtype)
+
+    return (scale * power).astype(kappa.dtype), derivatives
 
 
 def _chebyshev_sweep(lap_apply: Callable, v: np.ndarray, tables: tuple) -> list:
@@ -708,13 +715,13 @@ def cg_solve(lap_apply: Callable, rhs, kappa, h: float, iterations: int = 5) -> 
     b = rhs.value
     if not np.isfinite(b).all():
         raise FloatingPointError("cg_solve: rhs contains non-finite values")
-    w, dw = _resolvent_weights(kappa.value, h, iterations)
+    w, derivatives = _resolvent_weights(kappa.value, h, iterations)
     (u,) = _chebyshev_sweep(lap_apply, b, (w,))
     if not np.isfinite(u).all():
         raise FloatingPointError("cg_solve: non-finite values encountered")
 
     def bwd(g):
-        g_rhs, q = _chebyshev_sweep(lap_apply, g, (w, dw))
+        g_rhs, q = _chebyshev_sweep(lap_apply, g, (w, derivatives()))
         return g_rhs, np.einsum("ij,ij->j", b, q)
 
     return _emit(u, (rhs, kappa), bwd)

@@ -322,19 +322,39 @@ def generate_splits(n: int, ratios: tuple[float, float, float] = (0.48, 0.32, 0.
 # ---------------------------------------------------------------------------
 # temporal windows and normalization
 
+class SeriesWindows:
+    """The stride-1 sliding windows of a temporal dataset, in chronological
+    order. Window t is built when asked for, as read-only views of one
+    node-major copy of the series: inputs n x (tau_in*c), targets
+    n x (tau_out*c) and the inputs' frame times. So the windows of a series
+    take the series' bytes once, whatever their number."""
+
+    def __init__(self, dataset: TemporalDataset):
+        series, timestamps = dataset.series, dataset.timestamps
+        self.tau_in, self.tau_out = dataset.tau_in, dataset.tau_out
+        t_total = series.shape[0]
+        if len(timestamps) != t_total:
+            raise ValueError(f"{len(timestamps)} timestamps for a series of {t_total} frames")
+        if t_total < self.tau_in + self.tau_out:
+            raise ValueError(f"series length {t_total} < tau_in + tau_out = "
+                             f"{self.tau_in + self.tau_out}")
+        self.frames = np.array(series.transpose(1, 0, 2), order="C")  # (n, T, c)
+        self.frames.flags.writeable = False
+        self.timestamps = timestamps
+        self.count = t_total - self.tau_in - self.tau_out + 1
+
+    def window(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, split = self.frames.shape[0], t + self.tau_in
+        return (self.frames[:, t:split].reshape(n, -1),
+                self.frames[:, split:split + self.tau_out].reshape(n, -1),
+                self.timestamps[t:split])
+
+
 def make_windows(dataset: TemporalDataset):
-    """Stride-1 sliding windows: (inputs n x (tau_in*c), targets
-    n x (tau_out*c), frame_times), chronological order."""
-    series, tau_in, tau_out = dataset.series, dataset.tau_in, dataset.tau_out
-    t_total, n, c = series.shape
-    if t_total < tau_in + tau_out:
-        raise ValueError(f"series length {t_total} < tau_in + tau_out = {tau_in + tau_out}")
-    windows = []
-    for t in range(t_total - tau_in - tau_out + 1):
-        x = series[t:t + tau_in].transpose(1, 0, 2).reshape(n, tau_in * c)
-        y = series[t + tau_in:t + tau_in + tau_out].transpose(1, 0, 2).reshape(n, tau_out * c)
-        windows.append((x, y, dataset.timestamps[t:t + tau_in]))
-    return windows
+    """Every window of :class:`SeriesWindows`, as a list of (inputs,
+    targets, frame_times) in chronological order."""
+    windows = SeriesWindows(dataset)
+    return [windows.window(t) for t in range(windows.count)]
 
 
 class SeriesNormalizer:

@@ -216,19 +216,27 @@ def static_parameter_count(c_in: int, c_out: int, hidden: int, layers: int,
 # ---------------------------------------------------------------------------
 # time embedding
 
-def time_embedding(frame_times, n_frequencies: int = 10) -> np.ndarray:
-    """Sin/cos features at geometrically spaced frequencies for each frame
-    time: per frame, n_frequencies sines then n_frequencies cosines, with
-    omega_k = 10000^(-k/n_frequencies). Returns a flat vector of
-    len(frame_times) * 2 * n_frequencies values (identical for all nodes)."""
+def time_embedding_table(frame_times, n_frequencies: int = 10) -> np.ndarray:
+    """Sin/cos features at geometrically spaced frequencies, one row per
+    frame time: n_frequencies sines then n_frequencies cosines, with
+    omega_k = 10000^(-k/n_frequencies). Each value depends on its own frame
+    time only, so the rows of one table for a whole series are the rows of
+    a table for any run of its frames, to the bit."""
     if n_frequencies < 1:
         raise ValueError("n_frequencies must be >= 1")
     t = np.asarray(frame_times, dtype=np.float64)
     k = np.arange(n_frequencies)
     omega = 10000.0 ** (-k / n_frequencies)
     angles = t[:, None] * omega[None, :]
-    per_frame = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
-    return per_frame.reshape(-1)
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+
+
+def time_embedding(frame_times, n_frequencies: int = 10) -> np.ndarray:
+    """The rows of :func:`time_embedding_table` for ``frame_times`` as one
+    flat vector of len(frame_times) * 2 * n_frequencies values (identical
+    for all nodes). A window's vector is
+    ``table[t:t + tau_in].reshape(-1)``, a view of its series' table."""
+    return time_embedding_table(frame_times, n_frequencies).reshape(-1)
 
 
 def broadcast_time_embedding(emb: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -298,6 +306,10 @@ class AdrGnnTemporal(ParameterRegistry):
             raise ValueError(
                 f"forward: temporal features {x.value.shape} != ({g.n_nodes}, {tau_in * c_in})")
         t_emb = ad._as_variable(t_emb)
+        c_t = tau_in * 2 * cfg["n_frequencies"]
+        if t_emb.value.shape != (g.n_nodes, c_t):
+            raise ValueError(
+                f"forward: time embedding {t_emb.value.shape} != ({g.n_nodes}, {c_t})")
         x = _dropout(x, p_io, rng)
         temb = self.g_time_embed(t_emb)
         last_frame = ad.slice_columns(x, (tau_in - 1) * c_in, tau_in * c_in)

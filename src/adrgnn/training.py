@@ -17,10 +17,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Variable, backward
-from .data import DatasetBundle, TemporalDataset, TransportTask, make_windows
+# make_windows is not called here, but perfbench/tracing.py patches the name in
+# this module, so it stays importable from it
+from .data import (DatasetBundle, SeriesWindows, TemporalDataset, TransportTask,
+                   make_windows)  # noqa: F401
 from .graph import EnergyReport
 from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, broadcast_time_embedding,
-                     layer_energy_profile, param_groups, time_embedding)
+                     layer_energy_profile, param_groups, time_embedding_table)
 from .operators import AdrLayerParams, adr_layer
 from .runtime import SeedStream, philox
 
@@ -420,23 +423,45 @@ def evaluate(model, bundle: DatasetBundle, split_index: int = 0,
 # ---------------------------------------------------------------------------
 # temporal training
 
-def _chronological_split(dataset: TemporalDataset, windows) -> tuple[list[int], list[int]]:
-    """Window indices for the training prefix and the final 10% horizon;
-    windows whose targets straddle the boundary are dropped."""
+def _chronological_split(dataset: TemporalDataset, count: int) -> tuple[range, range]:
+    """Indices of the ``count`` windows in the training prefix and in the
+    final 10% horizon; windows whose targets straddle the boundary are
+    dropped."""
     horizon_start = int(math.ceil(0.9 * dataset.series.shape[0]))
-    train_idx, test_idx = [], []
-    for i in range(len(windows)):
-        if i + dataset.tau_in + dataset.tau_out <= horizon_start:
-            train_idx.append(i)
-        elif i + dataset.tau_in >= horizon_start:
-            test_idx.append(i)
-    return train_idx, test_idx
+    return (range(min(count, horizon_start - dataset.tau_in - dataset.tau_out + 1)),
+            range(max(0, horizon_start - dataset.tau_in), count))
+
+
+def _window_source(dataset: TemporalDataset, n_frequencies: int):
+    """The window source of train_temporal and evaluate_temporal: the
+    chronological split of the dataset's windows, and a function that builds
+    window i's (inputs, targets, time embedding tiled to every node) when
+    its step runs. The embedding row is a view of one per-frame table, so a
+    step tiles one embedding, and no window's array is made in advance."""
+    windows = SeriesWindows(dataset)
+    table = time_embedding_table(dataset.timestamps, n_frequencies)
+    n = dataset.graph.n_nodes
+
+    def window(i: int):
+        x, y, _times = windows.window(i)
+        return x, y, broadcast_time_embedding(table[i:i + dataset.tau_in].reshape(-1), n)
+
+    return _chronological_split(dataset, windows.count), window
+
+
+def _forecast_metrics(model, g, test_idx, window) -> Metrics:
+    preds, targets = [], []
+    for i in test_idx:
+        x, y, emb = window(i)
+        preds.append(model.forward(g, x, emb, train=False).value)
+        targets.append(y)
+    return regression_metrics(np.concatenate(preds), np.concatenate(targets))
 
 
 def train_temporal(dataset: TemporalDataset, cfg: TrainConfig) -> TrainResult:
     """Incremental-mode training: one gradient step per window, chronological
-    order, windows built over the training prefix; evaluation on the final
-    10% horizon. Time embeddings are precomputed once per dataset."""
+    order, over the training prefix; evaluation on the final 10% horizon.
+    Each window's inputs are built when its step runs."""
     cfg.validate()
     if set(cfg.terms.upper()) != set("ADR"):
         raise ValueError(f"temporal training runs all three terms, not terms={cfg.terms!r}")
@@ -444,14 +469,10 @@ def train_temporal(dataset: TemporalDataset, cfg: TrainConfig) -> TrainResult:
         raise ValueError(f"temporal training needs loss 'mse' or 'mae', not {cfg.loss!r}")
     if cfg.epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
-    windows = make_windows(dataset)
-    train_idx, test_idx = _chronological_split(dataset, windows)
+    (train_idx, test_idx), window = _window_source(dataset, cfg.n_frequencies)
     if not train_idx or not test_idx:
         raise ValueError("series too short for a 90/10 chronological split")
     c_in = dataset.series.shape[2]
-    n = dataset.graph.n_nodes
-    embeddings = [broadcast_time_embedding(time_embedding(times, cfg.n_frequencies), n)
-                  for _x, _y, times in windows]
     model = AdrGnnTemporal.init(
         c_in=c_in, c_out=c_in, hidden=cfg.hidden, layers=cfg.layers, h=cfg.h,
         tau_in=dataset.tau_in, tau_out=dataset.tau_out,
@@ -465,32 +486,24 @@ def train_temporal(dataset: TemporalDataset, cfg: TrainConfig) -> TrainResult:
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         for i in train_idx:
-            x, y, _times = windows[i]
+            x, y, emb = window(i)
 
             def build_loss() -> Variable:
-                pred = model.forward(dataset.graph, x, embeddings[i], train=True, rng=stream)
+                pred = model.forward(dataset.graph, x, emb, train=True, rng=stream)
                 return loss_fn(pred, y)
 
             epoch_loss += train_step(optimizer, build_loss, f"epoch {epoch}, window {i}")
         history.append({"epoch": epoch, "train_loss": epoch_loss / len(train_idx)})
-    metrics = evaluate_temporal(model, dataset)
+    metrics = _forecast_metrics(model, dataset.graph, test_idx, window)
     return TrainResult(model, metrics, metrics, history, cfg.epochs - 1)
 
 
 def evaluate_temporal(model, dataset: TemporalDataset) -> Metrics:
     """Deterministic forecast metrics over the final 10% horizon."""
-    windows = make_windows(dataset)
-    _train_idx, test_idx = _chronological_split(dataset, windows)
+    (_train_idx, test_idx), window = _window_source(dataset, model.config["n_frequencies"])
     if not test_idx:
         raise ValueError("series too short for a 10% evaluation horizon")
-    n, n_frequencies = dataset.graph.n_nodes, model.config["n_frequencies"]
-    preds, targets = [], []
-    for i in test_idx:
-        x, y, times = windows[i]
-        emb = broadcast_time_embedding(time_embedding(times, n_frequencies), n)
-        preds.append(model.forward(dataset.graph, x, emb, train=False).value)
-        targets.append(y)
-    return regression_metrics(np.concatenate(preds), np.concatenate(targets))
+    return _forecast_metrics(model, dataset.graph, test_idx, window)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ never runs here."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,30 @@ def test_a_narrow_parent_spread_resolves_and_an_exceeded_bound_stays_exceeded(be
     assert s["resolved"] and bench_pairs.bound_verdict(s) == "ok"
     s = bench_pairs.summarize([(p, p + 5.0) for p in BIMODAL], "lower", 0.25)
     assert not s["within_bound"] and bench_pairs.bound_verdict(s) == "EXCEEDED"
+
+
+SPEC = {"run_seconds": 1, "end_to_end": [
+    {"name": "step_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]}
+
+
+@pytest.mark.parametrize("change_rss, code", [(9.0, 0), (11.0, 0), (11.6, 1)])
+def test_main_exits_1_when_a_bound_is_exceeded(bench_pairs, monkeypatch, tmp_path, capsys,
+                                               change_rss, code):
+    # parent peak_rss_mb 10.45 in the median; a 10% bound allows up to 11.495
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    runs = {"parent": iter(PARENT), "change": iter([change_rss] * 10)}
+
+    def run_once(root, workload, seed, seconds):
+        assert (workload, seed, seconds) == ("w", 1, 1)
+        side = "parent" if root.name == "parent" else "change"
+        return {"step_ms": 5.0, "peak_rss_mb": next(runs[side])}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    (tmp_path / "parent").mkdir()
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path),
+            "--workload", "w", "--seed", "1", "--pairs", "10"]
+    assert bench_pairs.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out.count("bound EXCEEDED") == code
+    assert ("bound EXCEEDED: peak_rss_mb" in err) == bool(code)

@@ -167,3 +167,41 @@ class TestGradients:
             return ad.total_sum(ad.hadamard(out, w))
 
         check_grads(loss, [rhs, kappa], 1e-7)
+
+
+class TestResolventWeights:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("degree", [1, 5, 40])
+    def test_derivatives_match_the_closed_form_to_the_bit(self, dtype, degree):
+        """dw_j = -(2 - [j = 0]) / s * (j (-rho)^(j-1) drho + (-rho)^j ds / s),
+        with (-rho)^(j-1) raised on its own."""
+        kappa = np.concatenate([[0.0], philox(4).uniform(0.0, 1.0, 7)]).astype(dtype)
+        h = 0.8
+        s = np.sqrt(1.0 + 2.0 * h * kappa.astype(np.float64))
+        rho, ds = (s - 1.0) / (s + 1.0), h / s
+        j = np.arange(degree + 1)[:, None]
+        scale, power = np.where(j == 0, 1.0, 2.0) / s, (-rho) ** j
+        want = -scale * (j * (-rho) ** np.maximum(j - 1, 0) * 2.0 * ds / (s + 1.0) ** 2
+                         + power * ds / s)
+        w, derivatives = ad._resolvent_weights(kappa, h, degree)
+        assert w.tobytes() == (scale * power).astype(dtype).tobytes()
+        assert derivatives().tobytes() == want.astype(dtype).tobytes()
+
+    def test_derivatives_only_in_the_backward_rule(self, monkeypatch):
+        resolvent_weights, calls = ad._resolvent_weights, []
+
+        def spy(*args):
+            w, derivatives = resolvent_weights(*args)
+            return w, lambda: calls.append(1) or derivatives()
+
+        monkeypatch.setattr(ad, "_resolvent_weights", spy)
+        g = erdos_renyi(10, 0.4, seed=2)
+        rhs = Variable(philox(3).standard_normal((10, 2)), requires_grad=True)
+        kappa = Variable(np.array([0.3, 1.0]), requires_grad=True)
+        ad.cg_solve(lap_fn(g), rhs, kappa, h=1.0)
+        assert calls == []
+        with Tape() as tape:
+            loss = ad.total_sum(ad.cg_solve(lap_fn(g), rhs, kappa, h=1.0))
+        assert calls == []
+        backward(tape, loss)
+        assert calls == [1]

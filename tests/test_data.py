@@ -204,6 +204,25 @@ class TestWindows:
         x, _y, _t = make_windows(ds)[0]
         np.testing.assert_array_equal(x[:, -2:], ds.series[2])
 
+    def test_timestamps_must_match_the_frames(self):
+        ds = self._dataset(30)
+        ds.timestamps = ds.timestamps[:25]
+        with pytest.raises(ValueError, match="^25 timestamps for a series of 30 frames$"):
+            make_windows(ds)
+
+    def test_windows_are_read_only_views_of_one_array(self):
+        ds = self._dataset(12, tau_in=3, tau_out=2)
+        windows = make_windows(ds)
+        base = windows[0][0].base
+        assert not base.flags.writeable
+        assert not np.shares_memory(base, ds.series)
+        for x, y, times in windows:
+            for arr in (x, y):
+                assert arr.base is base and not arr.flags.writeable
+            assert times.base is ds.timestamps
+        with pytest.raises(ValueError, match="read-only"):
+            windows[0][1][0, 0] = 1.0
+
 
 class TestTransportTask:
     def test_invariants(self):

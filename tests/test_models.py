@@ -11,7 +11,7 @@ from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline,
                            broadcast_time_embedding, build_model, count_parameters,
                            load_checkpoint, save_checkpoint, static_parameter_count,
-                           time_embedding)
+                           time_embedding, time_embedding_table)
 from adrgnn.operators import advect, diffuse, edge_velocities, react
 from adrgnn.runtime import SeedStream, philox
 from adrgnn.training import GROUPS, AdamW, train_step
@@ -195,6 +195,16 @@ class TestTimeEmbedding:
         assert emb.shape == (4, 12)
         assert np.array_equal(emb[0], emb[3])
 
+    @pytest.mark.parametrize("times", [np.arange(522, dtype=np.float64),
+                                       np.linspace(0.0, 500.0, 37)])
+    def test_window_rows_of_one_table_equal_the_window_embedding(self, times):
+        table, tau_in = time_embedding_table(times, 10), 4
+        assert table.shape == (len(times), 20)
+        for t in range(len(times) - tau_in + 1):
+            row = table[t:t + tau_in].reshape(-1)
+            assert np.shares_memory(row, table)
+            assert row.tobytes() == time_embedding(times[t:t + tau_in], 10).tobytes()
+
 
 class TestTemporalForward:
     def _build(self, seed=0, layers=2, tau_in=3):
@@ -211,6 +221,16 @@ class TestTemporalForward:
         with pytest.raises(ValueError, match="outside"):
             AdrGnnTemporal.init(c_in=2, c_out=2, hidden=4, layers=1, h=h, tau_in=1,
                                 tau_out=1)
+
+    @pytest.mark.parametrize("case", ["untiled row", "tiled to another n", "short window"])
+    def test_time_embedding_shape_checked(self, case):
+        g, model, x, emb = self._build()
+        bad = {"untiled row": emb[0],
+               "tiled to another n": broadcast_time_embedding(emb[0], 5),
+               "short window": broadcast_time_embedding(time_embedding([0.0, 1.0], 3), 6),
+               }[case]
+        with pytest.raises(ValueError, match=r"^forward: time embedding \(.*\) != \(6, 18\)$"):
+            model.forward(g, x, bad)
 
     def test_shapes_and_determinism(self):
         g, model, x, emb = self._build()

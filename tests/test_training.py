@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.data import (DatasetBundle, TemporalDataset, generate_splits,
                          make_planted_partition, make_transport_task)
 from adrgnn.graph import build_graph, erdos_renyi
-from adrgnn.models import AdrGnnStatic, GcnBaseline, SparseFeatures, layer_energy_profile
+from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, SparseFeatures,
+                           broadcast_time_embedding, layer_energy_profile, time_embedding)
 from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, TrainingDiverged,
                              _binary_roc_auc, ablation_study, aggregate_metrics, classification_metrics,
                              depth_energy_study, evaluate, evaluate_temporal, grid_search,
@@ -703,6 +705,36 @@ class TestTrainStep:
             transport_fit(task, terms, epochs=3, channels=2)
 
 
+def _reference_train_temporal(ds: TemporalDataset, cfg: TrainConfig):
+    """train_temporal with MSE loss, as a loop that copies every window and
+    tiles every time embedding before its first step; returns the trained
+    model and its metrics over the final 10% horizon."""
+    series, tau_in, tau_out = ds.series, ds.tau_in, ds.tau_out
+    frames, n, c = series.shape
+    windows = [(series[t:t + tau_in].transpose(1, 0, 2).reshape(n, -1),
+                series[t + tau_in:t + tau_in + tau_out].transpose(1, 0, 2).reshape(n, -1),
+                broadcast_time_embedding(
+                    time_embedding(ds.timestamps[t:t + tau_in], cfg.n_frequencies), n))
+               for t in range(frames - tau_in - tau_out + 1)]
+    horizon = math.ceil(0.9 * frames)
+    train = [w for t, w in enumerate(windows) if t + tau_in + tau_out <= horizon]
+    test = [w for t, w in enumerate(windows) if t + tau_in >= horizon]
+    model = AdrGnnTemporal.init(
+        c_in=c, c_out=c, hidden=cfg.hidden, layers=cfg.layers, h=cfg.h, tau_in=tau_in,
+        tau_out=tau_out, n_frequencies=cfg.n_frequencies, dropout_io=cfg.dropout_io,
+        dropout_hidden=cfg.dropout_hidden, use_batchnorm=cfg.use_batchnorm,
+        cg_iterations=cfg.cg_iterations, seed=cfg.seed)
+    optimizer = AdamW(model.param_groups(), cfg.lr, cfg.weight_decay)
+    stream = SeedStream(cfg.seed)
+    for _epoch in range(cfg.epochs):
+        for x, y, emb in train:
+            train_step(optimizer, lambda: ad.mse(
+                model.forward(ds.graph, x, emb, train=True, rng=stream), y), "")
+    preds = [model.forward(ds.graph, x, emb).value for x, _y, emb in test]
+    return model, regression_metrics(np.concatenate(preds),
+                                     np.concatenate([y for _x, y, _emb in test]))
+
+
 class TestTemporal:
     def test_constant_series_learned_to_high_accuracy(self):
         g = erdos_renyi(8, 0.5, seed=1)
@@ -748,6 +780,54 @@ class TestTemporal:
         result = train_temporal(ds, flat_cfg(epochs=1, layers=1, hidden=4, loss="mse",
                                              n_frequencies=3))
         assert evaluate_temporal(result.model, ds) == result.metrics
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matches_a_loop_that_builds_every_window_up_front(self, dtype):
+        """Windows built at their step, from views and one embedding table,
+        train the parameters and score the metrics of a loop that copies
+        every window and tiles every embedding before its first step."""
+        ds = TemporalDataset(graph=erdos_renyi(6, 0.6, seed=5),
+                             series=philox(6).standard_normal((40, 6, 2)),
+                             timestamps=np.linspace(0.0, 97.0, 40), tau_in=3, tau_out=2)
+        cfg = flat_cfg(epochs=2, layers=2, hidden=4, loss="mse", n_frequencies=3,
+                       dropout_io=0.1, dropout_hidden=0.2)
+        previous = default_dtype().name
+        set_default_dtype(dtype)
+        try:
+            result = train_temporal(ds, cfg)
+            model, metrics = _reference_train_temporal(ds, cfg)
+            assert evaluate_temporal(result.model, ds) == result.metrics
+        finally:
+            set_default_dtype(previous)
+        got, want = result.model.named_parameters(), model.named_parameters()
+        assert got.keys() == want.keys()
+        for name, p in got.items():
+            assert p.value.dtype == np.dtype(dtype)
+            assert p.value.tobytes() == want[name].value.tobytes(), name
+        assert result.metrics == metrics
+
+    def test_memory_grows_with_the_series_not_with_windows_times_embedding(self):
+        """Four times the frames add a few times the added frames' own bytes
+        (their series values and time-embedding rows). A copied window or a
+        tiled embedding per window adds n * tau_in * 2F values per frame."""
+        n, n_frequencies = 20, 10
+        cfg = flat_cfg(epochs=1, layers=1, hidden=4, loss="mse", n_frequencies=n_frequencies)
+
+        def peak(frames: int) -> int:
+            ds = TemporalDataset(graph=erdos_renyi(n, 0.3, seed=1),
+                                 series=philox(2).standard_normal((frames, n, 1)),
+                                 timestamps=np.arange(frames, dtype=np.float64))
+            tracemalloc.start()
+            try:
+                train_temporal(ds, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(40)  # warm-up
+        small, large = peak(60), peak(240)
+        frame_bytes = (n + 2 * n_frequencies) * 8
+        assert large - small < 4 * (240 - 60) * frame_bytes
 
     def test_config_validated(self, caplog):
         g = erdos_renyi(5, 0.8, seed=3)
