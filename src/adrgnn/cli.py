@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import logging
 import multiprocessing
@@ -202,8 +203,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.out:
         out_dir = Path(args.out)
-        manifest = RunManifest(out_dir, "eval", {"split": args.split, "part": args.part},
-                               0, args.dataset)
+        path = Path(args.checkpoint)
+        # a missing checkpoint gets no digest; loading it below exits 2
+        digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+        config = {"split": args.split, "part": args.part,
+                  "checkpoint": {"path": str(path), "sha256": digest}}
+        manifest = RunManifest(out_dir, "eval", config, 0, args.dataset,
+                               {"normalize": args.normalize})
     model = load_checkpoint(args.checkpoint)
     if model.config.get("kind") == "temporal":
         dataset = load_temporal_dataset(args.dataset)

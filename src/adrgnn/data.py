@@ -107,6 +107,11 @@ def _array_spec(name: str, arr: np.ndarray, out_dir: Path, inline_limit: int) ->
     return spec
 
 
+def _is_int(value, minimum: int) -> bool:
+    """A JSON integer (not a bool) of at least ``minimum``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def _read_array(spec, base_dir: Path, path: str) -> np.ndarray:
     if not isinstance(spec, dict):
         raise DataFormatError(path, "array spec must be an object")
@@ -116,6 +121,9 @@ def _read_array(spec, base_dir: Path, path: str) -> np.ndarray:
     dtype = {"int64": "<i8", "float64": "<f8"}.get(spec["dtype"])
     if dtype is None:
         raise DataFormatError(f"{path}/dtype", f"unsupported dtype {spec['dtype']!r}")
+    if not (isinstance(spec["shape"], list) and all(_is_int(d, 0) for d in spec["shape"])):
+        raise DataFormatError(f"{path}/shape",
+                              f"must be a list of integers >= 0, got {spec['shape']!r}")
     shape = tuple(spec["shape"])
     if "inline" in spec:
         arr = np.asarray(spec["inline"], dtype=dtype)
@@ -151,7 +159,7 @@ def _open_container(path, kind: str):
     if manifest.get("kind") != kind:
         raise DataFormatError("/kind", f"expected {kind!r}, got {manifest.get('kind')!r}")
     n = manifest.get("n_nodes")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n, 1):
         raise DataFormatError("/n_nodes", "must be a positive integer")
     arrays = manifest.get("arrays", {})
 
@@ -241,8 +249,10 @@ def load_temporal_dataset(path) -> TemporalDataset:
     if timestamps.shape != (series.shape[0],):
         raise DataFormatError("/arrays/timestamps/shape",
                               f"{timestamps.shape} != ({series.shape[0]},)")
-    tau_in = int(manifest.get("tau_in", 4))
-    tau_out = int(manifest.get("tau_out", 1))
+    tau_in, tau_out = manifest.get("tau_in", 4), manifest.get("tau_out", 1)
+    for key, value in (("tau_in", tau_in), ("tau_out", tau_out)):
+        if not _is_int(value, 1):
+            raise DataFormatError(f"/{key}", f"must be an integer >= 1, got {value!r}")
     if series.shape[0] < tau_in + tau_out:
         raise DataFormatError("/arrays/series/shape",
                               f"T={series.shape[0]} < tau_in + tau_out = {tau_in + tau_out}")

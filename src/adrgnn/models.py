@@ -115,8 +115,8 @@ class ParameterRegistry:
                 "state": {n: a.copy() for n, a in self.extra_state().items()}}
 
     def restore(self, params: dict, state: dict) -> None:
-        """Load parameter values (with zeroed gradients) and, in place, the
-        batch-norm statistics; names and shapes must match the model's."""
+        """Load parameter values (zeroing their gradients) and batch-norm
+        statistics in place; names and shapes must match the model's."""
         named, extra = self.named_parameters(), self.extra_state()
         current = {**{n: v.value for n, v in named.items()}, **extra}
         saved = {**params, **state}
@@ -128,8 +128,8 @@ class ParameterRegistry:
                 raise ValueError(
                     f"checkpoint {name}: shape {saved[name].shape} != expected {arr.shape}")
         for name, var in named.items():
-            var.value = params[name].astype(default_dtype())
-            var.grad = np.zeros_like(var.value)
+            var.value[...] = params[name]
+            var.zero_grad()
         for name, arr in extra.items():
             arr[...] = state[name]
 

@@ -8,6 +8,7 @@ parameter groups in a fixed order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
@@ -47,6 +48,23 @@ CHANNEL_CHOICES = (8, 16, 32, 64, 128, 256)
 # checks them and sample_config draws from them (learning rates log-uniformly)
 RANGES = {"lr": (1e-4, 1e-1, "[1e-4, 1e-1]"), "weight_decay": (0.0, 1e-2, "[0, 1e-2]"),
           "dropout": (0.0, 0.9, "[0, 0.9]"), "h": (1e-3, 1.0, "[1e-3, 1]")}
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what TrainConfig.from_dict accepts for each field annotation: bools are not
+# numbers, ints count as floats, and the dicts (lr, weight_decay) map each
+# group to a number
+_FIELD_CHECKS = {
+    "int": (lambda v: _number(v) and isinstance(v, int), "an integer"),
+    "float": (_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+             "a table of numbers by group"),
+}
 
 
 @dataclass
@@ -93,10 +111,16 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """The config of parsed JSON; ValueError for an unknown key, and one
+        naming the key for a value of the wrong type."""
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            accepts, expected = _FIELD_CHECKS[fields[key].type]
+            if not accepts(value):
+                raise ValueError(f"config {key} must be {expected}, got {value!r}")
         cfg = cls(**data)
         for table, label in ((cfg.lr, "lr"), (cfg.weight_decay, "weight_decay")):
             missing = set(GROUPS) - set(table)
@@ -181,11 +205,13 @@ class AdamW:
     """Adaptive moment estimation with decoupled weight decay, one
     (lr, weight_decay) pair per parameter group.
 
-    The moments live in two flat buffers in group order, and each step runs
-    whole-buffer ufuncs over them: the update is elementwise, so this is the
-    per-parameter arithmetic element for element. Two scratch buffers of the
-    same size hold the gathered gradients, then the update; and the second
-    moment's increment, then the decay.
+    Construction moves every parameter's value and gradient into two flat
+    buffers in group order and rebinds ``p.value`` and ``p.grad`` to views
+    of them, so backward accumulates into the flat gradient; rebinding
+    either later detaches ``p``, so write into them in place. Each step runs
+    whole-buffer ufuncs over these and the two flat moments: the update is
+    elementwise, so this is the per-parameter arithmetic element for
+    element. Two scratch buffers hold the update and its intermediates.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -203,35 +229,33 @@ class AdamW:
             raise ValueError(f"AdamW: parameters of mixed dtypes {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
         size = sum(p.value.size for p in self._params)
+        self._values, self._grad = np.empty(size, dtype), np.empty(size, dtype)
         self._m, self._v = np.zeros(size, dtype), np.zeros(size, dtype)
-        self._update, self._decay = np.empty(size, dtype), np.empty(size, dtype)
-        self._spans = []
-        offset = 0
+        self._update, self._work = np.empty(size, dtype), np.empty(size, dtype)
+        self._spans, self._stops, offset = [], [], 0
         for name, params in groups.items():
-            first, members = offset, []
+            first = offset
             for p in params:
                 stop = offset + p.value.size
-                members.append((p, self._update[offset:stop].reshape(p.value.shape),
-                                self._decay[offset:stop].reshape(p.value.shape)))
+                for flat, attr in ((self._values, "value"), (self._grad, "grad")):
+                    view = flat[offset:stop].reshape(p.value.shape)
+                    view[...] = getattr(p, attr)
+                    setattr(p, attr, view)
                 offset = stop
-            self._spans.append((name, slice(first, offset), members))
+                self._stops.append(stop)
+            self._spans.append((name, slice(first, offset)))
 
     def step(self) -> None:
         """Raises TrainingDiverged, before changing anything, naming the
         first parameter in group order whose gradient is not finite or
         overflows when squared (an infinite second moment would freeze it)."""
-        params = self._params
-        if not params:
-            self.t += 1
-            return
-        g = np.concatenate([p.grad for p in params], axis=None, out=self._update)
-        m, v, update, work = self._m, self._v, self._update, self._decay
+        g, m, v, update, work = self._grad, self._m, self._v, self._update, self._work
         np.multiply(g, 1.0 - self.beta2, out=work)
         with np.errstate(over="ignore"):  # an overflow raises below
             np.multiply(work, g, out=work)
-        if not np.isfinite(work).all():
-            bad = next(p for _, _, members in self._spans for p, _, square in members
-                       if not np.isfinite(square).all())
+        finite = np.isfinite(work)
+        if not finite.all():
+            bad = self._params[bisect.bisect_right(self._stops, int(finite.argmin()))]
             raise TrainingDiverged(f"gradient of parameter {bad.name!r} is not finite "
                                    "or overflows when squared")
         self.t += 1
@@ -241,27 +265,21 @@ class AdamW:
         v += work
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=work)
-        # the update overwrites the gathered gradients g
         np.divide(m, bc1, out=update)
         np.sqrt(np.divide(v, bc2, out=work), out=work)
         work += self.eps
         update /= work
-        for name, span, members in self._spans:
+        values = self._values
+        for name, span in self._spans:
             lr = self.lr.get(name, 0.0)
             wd = self.weight_decay.get(name, 0.0)
             update[span] *= lr
-            if wd and members:
-                decay = np.concatenate([p.value for p, _, _ in members], axis=None,
-                                       out=work[span])
-                decay *= lr * wd
-            for p, step, decay_p in members:
-                if wd:
-                    p.value -= decay_p
-                p.value -= step
+            if wd:
+                values[span] -= np.multiply(values[span], lr * wd, out=work[span])
+        values -= update
 
     def zero_grad(self) -> None:
-        for p in self._params:
-            p.zero_grad()
+        self._grad.fill(0)
 
 
 def train_step(optimizer: AdamW, build_loss: Callable[[], Variable], where: str) -> float:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -124,6 +125,16 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("key, value", [("layers", "2"), ("lr", 0.01), ("epochs", 1.5)])
+    def test_wrongly_typed_config_field_exits_2_naming_it(self, key, value, toy_dataset,
+                                                          tmp_path, capsys):
+        path = fast_config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        code = main(["train", "--dataset", str(toy_dataset), "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config {key} must be" in capsys.readouterr().err
+
     def test_seeded_reruns_byte_identical(self, toy_dataset, tmp_path):
         cfg = fast_config(tmp_path)
         outs = []
@@ -226,6 +237,11 @@ class TestEvalCommand:
         assert code == 0
         rows = read_csv(out / "metrics.csv")
         assert any(r["metric"] == "accuracy" for r in rows)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved_config"]["checkpoint"] == {
+            "path": str(run / "checkpoint.bin"),
+            "sha256": hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest()}
+        assert manifest["run_options"] == {"normalize": "per_node"}
 
     def test_manifest_is_written_before_the_checkpoint_is_loaded(self, toy_dataset,
                                                                  tmp_path):
@@ -234,6 +250,7 @@ class TestEvalCommand:
                      "--dataset", str(toy_dataset), "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "eval" and manifest["outputs"] == []
+        assert manifest["resolved_config"]["checkpoint"]["sha256"] is None
 
     @pytest.mark.parametrize("terms", ["A", "AD"])
     def test_term_ablated_checkpoint_eval_matches_training_metrics(self, toy_dataset,

@@ -136,6 +136,25 @@ class TestLoaderValidation:
         with pytest.raises(DataFormatError, match="dtype"):
             load_graph_dataset(out)
 
+    @pytest.mark.parametrize("shape", [["30"], 12, [2.0, 5], [-1, 5], [True, 5], None])
+    def test_shape_must_be_a_list_of_counts(self, tmp_path, shape):
+        out = self._manifest(tmp_path, lambda m: m["arrays"]["features"].update(shape=shape))
+        with pytest.raises(DataFormatError, match=r"^/arrays/features/shape: must be a list"):
+            load_graph_dataset(out)
+
+    @pytest.mark.parametrize("key", ["tau_in", "tau_out"])
+    @pytest.mark.parametrize("value", [2.5, 0, -1, "2", True])
+    def test_window_lengths_must_be_positive_integers(self, tmp_path, key, value):
+        ds = TemporalDataset(graph=erdos_renyi(4, 0.6, seed=1),
+                             series=philox(1).standard_normal((9, 4, 1)),
+                             timestamps=np.arange(9, dtype=np.float64))
+        out = save_temporal(ds, tmp_path / "series")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[key] = value
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match=rf"^/{key}: must be an integer >= 1"):
+            load_temporal_dataset(out)
+
 
 class TestGenerateSplits:
     def test_sizes_48_32_20(self):

@@ -461,6 +461,25 @@ class TestParameterRegistry:
         for p in view.named_parameters().values():
             assert not p.requires_grad and not p.needs_grad and p._grad is None
 
+    @pytest.mark.parametrize("kind", ["static", "temporal", "gcn"])
+    def test_restore_keeps_the_optimizer_stepping_the_model(self, kind):
+        model, inputs = small_model(kind)
+        g = erdos_renyi(7, 0.5, seed=0)
+
+        def loss():
+            return ad.total_sum(model.forward(g, *inputs, train=True, rng=SeedStream(1)))
+
+        optimizer = AdamW(model.param_groups(), {grp: 0.1 for grp in GROUPS},
+                          {grp: 0.0 for grp in GROUPS})
+        taken = model.snapshot()
+        train_step(optimizer, loss, "first step")
+        model.restore(**taken)
+        for name, p in model.named_parameters().items():
+            assert p.value.tobytes() == taken["params"][name].tobytes()
+        train_step(optimizer, loss, "after the restore")
+        assert any(p.value.tobytes() != taken["params"][name].tobytes()
+                   for name, p in model.named_parameters().items())
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("kind", ["static", "temporal", "gcn"])

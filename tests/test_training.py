@@ -146,7 +146,7 @@ class TestAdamW:
             for step in range(4):
                 gen = philox(100 + step)
                 for a, b in zip(*(sum(g.values(), []) for g in (flat, ref))):
-                    a.grad = gen.standard_normal(a.shape).astype(dtype)
+                    a.grad[...] = gen.standard_normal(a.shape).astype(dtype)
                     b.grad = a.grad.copy()
                 opt.step()
                 oracle.step()
@@ -217,6 +217,24 @@ class TestAdamW:
         opt.step()
         assert p.value[0] == 2.0 * (1 - 0.1 * 0.01) and opt.t == 1
 
+    def test_parameters_become_views_of_the_flat_buffers(self):
+        params = [Variable(np.full(shape, float(i)), requires_grad=True, name=f"p{i}")
+                  for i, shape in enumerate([(2, 3), (4,), ()])]
+        params[1].grad[...] = [1.0, -2.0, 3.0, -4.0]  # accumulated before construction
+        opt = AdamW({"a": params[1:], "b": params[:1]}, {"a": 0.1, "b": 0.1},
+                    {"a": 0.0, "b": 0.0})
+        for p, shape, fill in zip(params, [(2, 3), (4,), ()], [0.0, 1.0, 2.0]):
+            assert p.value.shape == p.grad.shape == shape
+            assert np.shares_memory(p.value, opt._values)
+            assert np.shares_memory(p.grad, opt._grad)
+            assert np.all(p.value == fill)
+        np.testing.assert_array_equal(params[1].grad, [1.0, -2.0, 3.0, -4.0])
+        assert not params[0].grad.any() and not params[2].grad.any()
+        opt.step()
+        # the first step moves each coordinate by lr against its gradient's sign
+        np.testing.assert_allclose(params[1].value, [0.9, 1.1, 0.9, 1.1], rtol=1e-6)
+        assert np.all(params[0].value == 0.0) and params[2].value == 2.0
+
     def test_zero_grad_clears_all_groups(self):
         a = Variable(np.ones(2), requires_grad=True, name="a")
         b = Variable(np.ones(2), requires_grad=True, name="b")
@@ -285,6 +303,18 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             TrainConfig.from_dict({"learning_rate": 0.1})
+
+    @pytest.mark.parametrize("key, value", [
+        ("layers", "2"), ("layers", True), ("epochs", 1.5), ("h", "1"), ("h", False),
+        ("use_batchnorm", 1), ("loss", 3), ("lr", 0.01), ("lr", [0.01]),
+        ("weight_decay", {grp: "0" for grp in GROUPS})])
+    def test_wrongly_typed_field_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=rf"^config {key} must be "):
+            TrainConfig.from_dict({key: value})
+
+    def test_ints_count_as_floats(self):
+        cfg = TrainConfig.from_dict({"h": 1, "dropout_io": 0, "lr": {g: 1 for g in GROUPS}})
+        assert cfg.h == 1 and cfg.lr["embedding"] == 1
 
     def test_out_of_range_warns_not_raises(self, caplog):
         cfg = flat_cfg(layers=3)  # not a documented depth choice
