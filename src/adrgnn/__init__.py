@@ -23,7 +23,6 @@ from .data import (DatasetBundle, TemporalDataset, TransportTask,
                    save_bundle, save_temporal)
 from .training import (AdamW, Metrics, TrainConfig, TrainingDiverged,
                        ablation_study, depth_energy_study, evaluate,
-                       grid_search, train_node_classification, train_temporal,
-                       transport_fit)
+                       train_node_classification, train_temporal, transport_fit)
 
 __version__ = "0.1.0"

@@ -297,9 +297,12 @@ def generate_splits(n: int, ratios: tuple[float, float, float] = (0.48, 0.32, 0.
                     stratified: bool = False) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """k seeded permutation splits partitioned by the given ratios.
 
-    With ``stratified=True`` (requires labels) each class is partitioned
-    proportionally. Deterministic and platform independent for fixed seed.
+    With ``stratified=True`` each class of ``labels`` is partitioned
+    proportionally; ValueError without labels. Deterministic and platform
+    independent for fixed seed.
     """
+    if stratified and labels is None:
+        raise ValueError("stratified splits need labels")
     if sum(ratios) > 1 + 1e-12:
         raise ValueError(f"ratios {ratios} sum to more than 1")
     full_cover = abs(sum(ratios) - 1.0) < 1e-12
@@ -310,7 +313,7 @@ def generate_splits(n: int, ratios: tuple[float, float, float] = (0.48, 0.32, 0.
         val = np.zeros(n, dtype=bool)
         test = np.zeros(n, dtype=bool)
         pools = ([np.flatnonzero(labels == c) for c in np.unique(labels)]
-                 if stratified and labels is not None else [np.arange(n)])
+                 if stratified else [np.arange(n)])
         for pool in pools:
             perm = pool[rng.permutation(len(pool))]
             n_train = int(round(ratios[0] * len(pool)))

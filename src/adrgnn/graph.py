@@ -105,12 +105,6 @@ class Graph:
         d_inv_sqrt = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
         return d_inv_sqrt @ a @ d_inv_sqrt
 
-    def out_edges(self, i: int) -> slice:
-        return slice(self.out_indptr[i], self.out_indptr[i + 1])
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.edge_dst[self.out_edges(i)]
-
     def adjacency(self) -> sp.csr_matrix:
         return self._adj
 
@@ -165,12 +159,6 @@ def laplacian_apply(g: Graph, u: np.ndarray) -> np.ndarray:
     if g.has_isolated:
         u = (mask if u.ndim == 1 else mask[:, None]) * u
     return np.subtract(u, out, out=out)
-
-
-def laplacian_dense(g: Graph) -> np.ndarray:
-    """Dense normalized Laplacian (test support; small graphs only)."""
-    eye = np.diag(g._deg_mask)
-    return eye - g._adj_norm.toarray()
 
 
 def dirichlet_energy(g: Graph, u: np.ndarray) -> float:

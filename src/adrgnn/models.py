@@ -199,20 +199,6 @@ class AdrGnnStatic(ParameterRegistry):
                 + [part for layer in self.layers for part in layer.parts()])
 
 
-def static_parameter_count(c_in: int, c_out: int, hidden: int, layers: int,
-                           use_batchnorm: bool = False) -> int:
-    """Closed-form trainable-parameter count of the static model.
-
-    Embeddings: (c_in+1)h + (h+1)c_out. Per layer: advection
-    2(h^2+h) + 2h^2, diffusion h, reaction 3(h^2+h) (+2h with batch norm).
-    """
-    c = hidden
-    per_layer = 2 * (c * c + c) + 2 * c * c + c + 3 * (c * c + c)
-    if use_batchnorm:
-        per_layer += 2 * c
-    return (c_in * c + c) + layers * per_layer + (c * c_out + c_out)
-
-
 # ---------------------------------------------------------------------------
 # time embedding
 

@@ -160,8 +160,7 @@ class EdgeVelocities:
 # ---------------------------------------------------------------------------
 # advection
 
-def edge_velocities(g: Graph, u, params: AdvectionParams,
-                    return_prenorm: bool = False):
+def edge_velocities(g: Graph, u, params: AdvectionParams) -> EdgeVelocities:
     """Learn directional edge weights from node features.
 
     For each directed edge (i, j): z_ij = ReLU(u_i a1 + u_j a2) a3, and the
@@ -174,9 +173,6 @@ def edge_velocities(g: Graph, u, params: AdvectionParams,
     Nothing is taped here: the weights carry ``u`` and ``params``, and
     :func:`advect` records them as one op with the transport, whose record
     keeps ``u`` and the weights and recomputes the velocities in backward.
-
-    With ``return_prenorm`` the two ReLU(z_ij - z_ji) orientations are also
-    returned, as untaped Variables.
     """
     u = ad._as_variable(u)
     a1, a2 = params.a1, params.a2
@@ -185,12 +181,9 @@ def edge_velocities(g: Graph, u, params: AdvectionParams,
                                             g.edge_src, g.edge_dst),
                              params.a3.w.value, g.rev_edge)
     pre = asym @ params.a4.w.value
-    prenorm = ((Variable(asym), Variable(np.take(asym, g.rev_edge, axis=0)))
-               if return_prenorm else ())
     del asym
-    v = EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan),
-                       u, params)
-    return (v, *prenorm) if return_prenorm else v
+    return EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan),
+                          u, params)
 
 
 def check_step_size(h: float, where: str) -> None:

@@ -1,5 +1,5 @@
 """Optimization loop with per-term parameter groups, metrics, and the
-study drivers (depth/energy, term ablation, transport fit, random search).
+study drivers (depth/energy, term ablation, transport fit).
 
 Training is deterministic for a fixed (config, seed, dataset) triple: all
 randomness flows through counter-based generators, and the optimizer walks
@@ -26,7 +26,7 @@ from .graph import EnergyReport
 from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, broadcast_time_embedding,
                      layer_energy_profile, param_groups, time_embedding_table)
 from .operators import AdrLayerParams, adr_layer
-from .runtime import SeedStream, philox
+from .runtime import SeedStream
 
 import logging
 
@@ -45,7 +45,7 @@ LOSSES = ("cross_entropy", "mse", "mae")
 LAYER_CHOICES = (2, 4, 8, 16, 32, 64)
 CHANNEL_CHOICES = (8, 16, 32, 64, 128, 256)
 # the documented continuous ranges, [lo, hi] with their printed bounds: validate
-# checks them and sample_config draws from them (learning rates log-uniformly)
+# warns on a config value outside them
 RANGES = {"lr": (1e-4, 1e-1, "[1e-4, 1e-1]"), "weight_decay": (0.0, 1e-2, "[0, 1e-2]"),
           "dropout": (0.0, 0.9, "[0, 0.9]"), "h": (1e-3, 1.0, "[1e-3, 1]")}
 
@@ -85,9 +85,9 @@ class TrainConfig:
     terms: str = "ADR"
     n_frequencies: int = 10
 
-    def validate(self, strict: bool = False) -> list[str]:
-        """Check the documented hyperparameter ranges. Out-of-range values
-        are warnings unless strict (the random-search driver is strict)."""
+    def validate(self) -> list[str]:
+        """Check the documented hyperparameter ranges; each value outside
+        them is logged as a warning and returned."""
         checked = [(f"{key}[{g}]", getattr(self, key)[g], key)
                    for g in GROUPS for key in ("lr", "weight_decay")]
         checked += [("dropout_io", self.dropout_io, "dropout"),
@@ -100,8 +100,6 @@ class TrainConfig:
             problems.append(f"hidden={self.hidden} not in {CHANNEL_CHOICES}")
         if self.loss not in LOSSES:
             problems.append(f"loss={self.loss!r} not in {LOSSES}")
-        if strict and problems:
-            raise ValueError("config outside allowed ranges: " + "; ".join(problems))
         for p in problems:
             logger.warning("config: %s", p)
         return problems
@@ -212,12 +210,24 @@ class AdamW:
     whole-buffer ufuncs over these and the two flat moments: the update is
     elementwise, so this is the per-parameter arithmetic element for
     element. Two scratch buffers hold the update and its intermediates.
+
+    Every ``FLUSH_EVERY`` steps the moments below the smallest normal float
+    are set to zero. A moment whose gradient stays zero decays into the
+    subnormal range and sticks there, where the ufuncs over it are several
+    times slower. Its update is below one ulp of any parameter value not
+    itself near that range, so the flush leaves such values as they were,
+    and a parameter at exactly 0.0 stays there.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    FLUSH_EVERY = 1024
 
     def __init__(self, groups: dict[str, list[Variable]], lr: dict[str, float],
                  weight_decay: dict[str, float]):
+        for label, table in (("lr", lr), ("weight_decay", weight_decay)):
+            missing = [name for name in groups if name not in table]
+            if missing:
+                raise ValueError(f"AdamW: {label} has no entry for group(s) {missing}")
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
@@ -265,14 +275,18 @@ class AdamW:
         v += work
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=work)
+        if self.t % self.FLUSH_EVERY == 0:
+            tiny = np.finfo(m.dtype).tiny
+            m[np.abs(m, out=work) < tiny] = 0.0
+            v[v < tiny] = 0.0
         np.divide(m, bc1, out=update)
         np.sqrt(np.divide(v, bc2, out=work), out=work)
         work += self.eps
         update /= work
         values = self._values
         for name, span in self._spans:
-            lr = self.lr.get(name, 0.0)
-            wd = self.weight_decay.get(name, 0.0)
+            lr = self.lr[name]
+            wd = self.weight_decay[name]
             update[span] *= lr
             if wd:
                 values[span] -= np.multiply(values[span], lr * wd, out=work[span])
@@ -622,57 +636,3 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
     final_mse = float(np.mean((final.value - task.target_features) ** 2))
     trace.append({"step": epochs, "mse": final_mse, "mass": float(final.value.sum())})
     return TransportFitResult(terms, final_mse, trace, final.value.copy())
-
-
-# ---------------------------------------------------------------------------
-# random hyperparameter search
-
-def sample_config(rng: np.random.Generator, base: TrainConfig) -> TrainConfig:
-    """One draw from the documented ranges: log-uniform rates, uniform
-    decays/dropouts/step size, discrete-uniform layers/channels/batchnorm."""
-    def uniform(key):
-        lo, hi, _text = RANGES[key]
-        return float(rng.uniform(lo, hi))
-
-    def log_uniform(key):
-        lo, hi, _text = RANGES[key]
-        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-    return replace(
-        base,
-        lr={g: log_uniform("lr") for g in GROUPS},
-        weight_decay={g: uniform("weight_decay") for g in GROUPS},
-        dropout_io=uniform("dropout"),
-        dropout_hidden=uniform("dropout"),
-        use_batchnorm=bool(rng.integers(0, 2)),
-        h=uniform("h"),
-        layers=int(rng.choice(LAYER_CHOICES)),
-        hidden=int(rng.choice(CHANNEL_CHOICES)),
-    )
-
-
-def grid_search(bundle: DatasetBundle, budget: int, base: TrainConfig,
-                seed: int = 0, split_index: int = 0):
-    """Random search over the documented ranges; best trial by validation
-    accuracy. Returns (best config, trial log)."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    trials = []
-    best_cfg, best_val = None, -np.inf
-    for trial in range(budget):
-        cfg = sample_config(philox(seed, trial), base)
-        cfg.validate(strict=True)
-        try:
-            result = train_node_classification(bundle, cfg, split_index=split_index)
-            val = result.val_metrics.accuracy
-            record = {"trial": trial, "config": cfg.to_dict(), "val_accuracy": val,
-                      "test_accuracy": result.metrics.accuracy, "status": "ok"}
-        except TrainingDiverged as exc:
-            val = -np.inf
-            record = {"trial": trial, "config": cfg.to_dict(), "val_accuracy": None,
-                      "status": f"diverged: {exc}"}
-        trials.append(record)
-        if val > best_val:
-            best_val, best_cfg = val, cfg
-    return best_cfg, trials
-

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import adrgnn.autodiff as ad
 from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.graph import build_graph, erdos_renyi
 from adrgnn.runtime import philox
@@ -66,3 +67,22 @@ def random_velocities(graph, c: int, seed: int) -> np.ndarray:
     sums = np.zeros((graph.n_nodes, c))
     np.add.at(sums, graph.edge_src, raw)
     return raw / sums[graph.edge_src]
+
+
+def laplacian_dense(g) -> np.ndarray:
+    """Dense normalized Laplacian from the graph's own degree mask and
+    normalized adjacency (small graphs only)."""
+    return np.diag(g._deg_mask) - g._adj_norm.toarray()
+
+
+def prenorm_orientations(g, u, params):
+    """The two ReLU(z_ij - z_ji) orientations of the edge scores that
+    ``operators.edge_velocities`` computes before a4 and the softmax, by the
+    same untaped calls, as Variables."""
+    u = ad._as_variable(u)
+    a1, a2 = params.a1, params.a2
+    asym = ad.edge_asymmetry(ad.edge_hidden(ad._affine(u.value, a1.w.value, a1.b.value),
+                                            ad._affine(u.value, a2.w.value, a2.b.value),
+                                            g.edge_src, g.edge_dst),
+                             params.a3.w.value, g.rev_edge)
+    return Variable(asym), Variable(np.take(asym, g.rev_edge, axis=0))

@@ -20,7 +20,7 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.data import (load_graph_dataset, load_temporal_dataset,
                          make_transport_task, normalize_series)
 from adrgnn.gradcheck import run_all_checks
-from adrgnn.graph import dirichlet_energy, erdos_renyi, laplacian_apply, laplacian_dense
+from adrgnn.graph import dirichlet_energy, erdos_renyi, laplacian_apply
 from adrgnn.operators import (AdvectionParams, DiffusionParams, EdgeVelocities,
                               advect, advection_matrix, diffuse, edge_velocities,
                               splitting_error_study)
@@ -28,7 +28,7 @@ from adrgnn.runtime import philox
 from adrgnn.training import (GROUPS, TrainConfig, ablation_study, depth_energy_study,
                              run_splits, train_temporal, transport_fit)
 
-from conftest import random_velocities
+from conftest import laplacian_dense, prenorm_orientations, random_velocities
 
 DATA_DIR = Path(os.environ.get("ADRGNN_DATA", Path(__file__).resolve().parent.parent / "data"))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -121,7 +121,8 @@ class TestPropertyCriteria:
             c = int(gen.integers(1, 4))
             params = AdvectionParams.init(c, philox(trial + 11))
             u = Variable(gen.standard_normal((n, c)))
-            v, asym, asym_rev = edge_velocities(g, u, params, return_prenorm=True)
+            v = edge_velocities(g, u, params)
+            asym, asym_rev = prenorm_orientations(g, u, params)
             sums = np.zeros((n, c))
             np.add.at(sums, g.edge_src, v.values.value)
             if (~g.isolated).any():

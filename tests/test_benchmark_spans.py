@@ -1,11 +1,16 @@
-"""The benchmark's traced run (perfbench/tracing.py) wraps program functions
-by name from outside the program. These tests keep those names in place:
-a renamed or moved function would make the traced run fail, or silently
-report zero for its per-layer metric."""
+"""The benchmark (perfbench/) reads program functions by name from outside
+the program, and its traced run (perfbench/tracing.py) wraps some of them.
+These tests keep those names in place: a renamed, moved or deleted function
+would make the benchmark fail, or silently report zero for its per-layer
+metric."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +25,8 @@ from adrgnn.runtime import philox
 from adrgnn.training import (TrainConfig, train_gcn_baseline, train_node_classification,
                              train_temporal, transport_fit)
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +42,75 @@ def test_every_span_resolves_to_a_callable(tracing):
     for path, attr, _name in tracing.SPANS:
         owner = tracing._resolve(path)
         assert callable(getattr(owner, attr, None)), f"{path}.{attr} is gone"
+
+
+def _program_names(tree: ast.Module) -> set[str]:
+    """The dotted adrgnn names a benchmark file reads: each attribute chain
+    on a name bound to an adrgnn module (by ``import``, ``from adrgnn import``
+    or ``importlib.import_module``), each ``from adrgnn... import`` name, and
+    each string constant that is a dotted adrgnn path."""
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "adrgnn":
+                    if alias.asname:
+                        modules[alias.asname] = alias.name
+                    else:
+                        modules["adrgnn"] = "adrgnn"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "adrgnn":
+            for alias in node.names:
+                names.add(f"{node.module}.{alias.name}")
+                if node.module == "adrgnn":
+                    modules[alias.asname or alias.name] = f"adrgnn.{alias.name}"
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Attribute)
+              and node.value.func.attr == "import_module"):
+            path = node.value.args[0]
+            if isinstance(path, ast.Constant) and str(path.value).startswith("adrgnn"):
+                for target in node.targets:
+                    modules[target.id] = path.value
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"adrgnn(\.\w+)+", node.value)):
+            names.add(node.value)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            names.add(".".join([modules[node.id], *reversed(chain)]))
+    return names
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then look up the rest
+    as attributes until they reach an object that is neither a module nor a
+    class (an attribute of an instance is not checked)."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not (inspect.ismodule(obj) or inspect.isclass(obj)):
+                return True
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_every_program_name_the_benchmark_reads_resolves():
+    names = {name for path in sorted(PERFBENCH.glob("*.py"))
+             for name in _program_names(ast.parse(path.read_text()))}
+    # the guard sees the benchmark's own module aliases and import_module calls
+    assert {"adrgnn.training.AdamW.step", "adrgnn.data.make_windows",
+            "adrgnn.autodiff._ACTIVE_TAPE", "adrgnn.models.AdrGnnStatic"} <= names
+    missing = sorted(name for name in names if not _resolves(name))
+    assert not missing, f"perfbench/ reads names the program no longer has: {missing}"
 
 
 def test_the_open_tape_is_the_module_level_active_tape():

@@ -5,10 +5,10 @@ import pytest
 
 import adrgnn.autodiff as ad
 from adrgnn.autodiff import Tape, Variable, backward
-from adrgnn.graph import build_graph, erdos_renyi, laplacian_apply, laplacian_dense
+from adrgnn.graph import build_graph, erdos_renyi, laplacian_apply
 from adrgnn.runtime import philox
 
-from conftest import check_grads
+from conftest import check_grads, laplacian_dense
 
 
 def lap_fn(g):

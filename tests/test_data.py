@@ -178,6 +178,10 @@ class TestGenerateSplits:
                                                 labels=labels, stratified=True)
         assert labels[train].sum() == 24  # half of the 48 train nodes per class
 
+    def test_stratified_needs_labels(self):
+        with pytest.raises(ValueError, match="stratified splits need labels"):
+            generate_splits(100, k=1, seed=2, stratified=True)
+
     def test_too_small_pool_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             generate_splits(2, (0.48, 0.32, 0.20), k=1, seed=0)

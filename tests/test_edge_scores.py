@@ -16,6 +16,8 @@ from adrgnn.operators import (AdrLayerParams, AdvectionParams, adr_layer, advect
                               react)
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
+from conftest import prenorm_orientations
+
 
 def _graphs():
     return {
@@ -149,7 +151,7 @@ class TestEdgeScoresBitIdentical:
         g = _graphs()[name]
         params = AdvectionParams.init(3, philox(73))
         u = Variable(philox(74).standard_normal((g.n_nodes, 3)))
-        got = operators.edge_velocities(g, u, params, return_prenorm=True)
+        got = (operators.edge_velocities(g, u, params), *prenorm_orientations(g, u, params))
         want = _reference_edge_velocities(g, u, params, return_prenorm=True)
         assert _same_bytes(got[0].values.value, want[0].value)
         for got_part, want_part in zip(got[1:], want[1:]):

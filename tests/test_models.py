@@ -10,8 +10,8 @@ from adrgnn.autodiff import Variable
 from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline,
                            broadcast_time_embedding, build_model, count_parameters,
-                           load_checkpoint, save_checkpoint, static_parameter_count,
-                           time_embedding, time_embedding_table)
+                           load_checkpoint, save_checkpoint, time_embedding,
+                           time_embedding_table)
 from adrgnn.operators import advect, diffuse, edge_velocities, react
 from adrgnn.runtime import SeedStream, philox
 from adrgnn.training import GROUPS, AdamW, train_step
@@ -570,6 +570,20 @@ class TestCheckpoint:
     def test_build_model_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             build_model({"kind": "mystery", "c_in": 1, "c_out": 1, "hidden": 2, "layers": 1})
+
+
+def static_parameter_count(c_in: int, c_out: int, hidden: int, layers: int,
+                           use_batchnorm: bool = False) -> int:
+    """Closed-form trainable-parameter count of the static model.
+
+    Embeddings: (c_in+1)h + (h+1)c_out. Per layer: advection
+    2(h^2+h) + 2h^2, diffusion h, reaction 3(h^2+h) (+2h with batch norm).
+    """
+    c = hidden
+    per_layer = 2 * (c * c + c) + 2 * c * c + c + 3 * (c * c + c)
+    if use_batchnorm:
+        per_layer += 2 * c
+    return (c_in * c + c) + layers * per_layer + (c * c_out + c_out)
 
 
 class TestParameterCount:
