@@ -9,8 +9,7 @@ if _os.environ.get("ADRGNN_THREADS"):
         _os.environ.setdefault(_var, _os.environ["ADRGNN_THREADS"])
 
 from .autodiff import Tape, Variable, backward, cg_solve
-from .graph import (EnergyReport, Graph, build_graph, dirichlet_energy,
-                    erdos_renyi, laplacian_apply)
+from .graph import Graph, build_graph, dirichlet_energy, erdos_renyi, laplacian_apply
 from .operators import (AdrLayerParams, AdvectionParams, DiffusionParams,
                         EdgeVelocities, ReactionParams, adr_layer, advect,
                         advection_matrix, diffuse, edge_velocities,

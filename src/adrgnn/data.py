@@ -371,7 +371,8 @@ def make_windows(dataset: TemporalDataset):
 
 
 class SeriesNormalizer:
-    """Invertible affine normalization; exact inverse for metric reporting."""
+    """Invertible affine normalization. Temporal metrics are reported in
+    the normalized units; ``inverse`` maps a normalized series back."""
 
     def __init__(self, mean: np.ndarray, std: np.ndarray):
         self.mean = mean

@@ -7,7 +7,6 @@ matters downstream, where learned per-edge transport weights live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,9 +26,9 @@ class Graph:
     edge to its reverse orientation; it is an involution, so gathering by
     it is its own transpose. The constant operators built from the edge
     list (``scatter_src``, ``scatter_dst``, ``max_plan``,
-    ``laplacian_float32``, ``gcn_adjacency``) are built on first use and
-    cached. Instances are immutable after construction and safe to share
-    across threads.
+    ``laplacian_float32``, ``gcn_adjacency``, ``gcn_adjacency_float32``) are
+    built on first use and cached. Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, n_nodes: int, edge_src: np.ndarray, edge_dst: np.ndarray):
@@ -105,6 +104,12 @@ class Graph:
         d_inv_sqrt = sp.diags(1.0 / np.sqrt(np.asarray(a.sum(axis=1)).ravel()))
         return d_inv_sqrt @ a @ d_inv_sqrt
 
+    @cached_property
+    def gcn_adjacency_float32(self) -> sp.csr_matrix:
+        """:attr:`gcn_adjacency` cast to float32, the operator of float32
+        :class:`~adrgnn.models.GcnBaseline` forwards."""
+        return self.gcn_adjacency.astype(np.float32)
+
     def adjacency(self) -> sp.csr_matrix:
         return self._adj
 
@@ -175,20 +180,6 @@ def dirichlet_energy(g: Graph, u: np.ndarray) -> float:
         raise ValueError(f"feature rows {u.shape[0]} != n_nodes {g.n_nodes}")
     diff = u[g.edge_src] - u[g.edge_dst]
     return float((diff * diff).sum() / g.n_nodes)
-
-
-@dataclass
-class EnergyReport:
-    """Per-layer Dirichlet energies and the values relative to layer 0."""
-
-    per_layer_energy: list[float]
-    relative_energy: list[float]
-
-    @classmethod
-    def from_energies(cls, energies) -> "EnergyReport":
-        energies = [float(e) for e in energies]
-        base = energies[0] if energies and energies[0] > 0 else 1.0
-        return cls(energies, [e / base for e in energies])
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Linear, Variable
-from .graph import Graph, dirichlet_energy
+from .graph import Graph
 from .operators import AdrLayerParams, ReactionParams, adr_layer, check_step_size
 from .runtime import SeedStream, default_dtype
 
@@ -172,7 +172,9 @@ class AdrGnnStatic(ParameterRegistry):
 
     def forward(self, g: Graph, x, train: bool = False, rng: Optional[SeedStream] = None,
                 terms: Optional[str] = None, diagnostics: bool = False):
-        """Logits of the model's own ``terms`` unless ``terms`` names others."""
+        """Logits of the model's own ``terms`` unless ``terms`` names others.
+        With ``diagnostics=True``, ``(logits, stages)``: the embedding and
+        each layer's output, which only such a forward keeps."""
         cfg = self.config
         terms = cfg["terms"] if terms is None else terms
         p_io, p_h = cfg["dropout_io"], cfg["dropout_hidden"]
@@ -182,17 +184,15 @@ class AdrGnnStatic(ParameterRegistry):
         if tuple(x.shape) != (g.n_nodes, cfg["c_in"]):
             raise ValueError(
                 f"forward: features {tuple(x.shape)} != ({g.n_nodes}, {cfg['c_in']})")
-        u0 = _input_linear(x, self.g_in, p_io, rng)
-        u = u0
-        stages = [u0]
+        u = u0 = _input_linear(x, self.g_in, p_io, rng)
+        stages = [u0] if diagnostics else None
         for layer in self.layers:
             u = adr_layer(g, _dropout(u, p_h, rng), u0, layer, cfg["h"], cfg["cg_iterations"],
                           train=train, terms=terms)
-            stages.append(u)
+            if diagnostics:
+                stages.append(u)
         logits = self.g_out(_dropout(u, p_io, rng))
-        if diagnostics:
-            return logits, stages
-        return logits
+        return (logits, stages) if diagnostics else logits
 
     def _parts(self) -> list[tuple[str, object]]:
         return ([("embedding", self.g_in), ("embedding", self.g_out)]
@@ -302,17 +302,16 @@ class AdrGnnTemporal(ParameterRegistry):
         u_state = self.g_in_state(ad.concat_columns([last_frame, temb]))
         u_hist = self.g_in_hist(ad.concat_columns([x, temb]))
         u_hist0 = u_hist
-        stages = [u_state]
+        stages = [u_state] if diagnostics else None
         for layer, g_hist_l in zip(self.layers, self.g_hist):
             u_state = adr_layer(g, _dropout(u_state, p_h, rng), u_hist0, layer, cfg["h"],
                                 cfg["cg_iterations"], train=train,
                                 velocity_features=u_hist)
             u_hist = g_hist_l(ad.concat_columns([u_hist, u_state, temb]))
-            stages.append(u_state)
+            if diagnostics:
+                stages.append(u_state)
         predictions = self.g_out_state(_dropout(u_state, p_io, rng))
-        if diagnostics:
-            return predictions, stages
-        return predictions
+        return (predictions, stages) if diagnostics else predictions
 
     def _parts(self) -> list[tuple[str, object]]:
         embeddings = (self.g_time_embed, self.g_in_state, self.g_in_hist, self.g_out_state)
@@ -349,16 +348,15 @@ class GcnBaseline(ParameterRegistry):
         p = self.config.get("dropout", 0.0)
         rng = _dropout_rng(rng, train, p > 0)
         # symmetric: its own transpose; in the working dtype, so float32 stays float32
-        a_hat = g.gcn_adjacency.astype(default_dtype(), copy=False)
+        a_hat = g.gcn_adjacency_float32 if default_dtype() == np.float32 else g.gcn_adjacency
         u = ad._as_variable(x)
-        stages = [u]
+        stages = [u] if diagnostics else None
         for conv in self.convs:
             u = ad.relu(ad.fixed_sparse_matmul(a_hat, a_hat, conv(_dropout(u, p, rng))))
-            stages.append(u)
+            if diagnostics:
+                stages.append(u)
         logits = self.head(u)
-        if diagnostics:
-            return logits, stages
-        return logits
+        return (logits, stages) if diagnostics else logits
 
     def _parts(self) -> list[tuple[str, object]]:
         return [("embedding", lin) for lin in self.convs + [self.head]]
@@ -405,7 +403,3 @@ def build_model(config: dict):
 def count_parameters(model) -> int:
     return sum(v.value.size for v in model.named_parameters().values())
 
-
-def layer_energy_profile(g: Graph, stages) -> list[float]:
-    """Dirichlet energy of each recorded layer stage."""
-    return [dirichlet_energy(g, s.value) for s in stages]

@@ -22,9 +22,9 @@ from .autodiff import Tape, Variable, backward
 # this module, so it stays importable from it
 from .data import (DatasetBundle, SeriesWindows, TemporalDataset, TransportTask,
                    make_windows)  # noqa: F401
-from .graph import EnergyReport
+from .graph import dirichlet_energy
 from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, broadcast_time_embedding,
-                     layer_energy_profile, param_groups, time_embedding_table)
+                     param_groups, time_embedding_table)
 from .operators import AdrLayerParams, adr_layer
 from .runtime import SeedStream
 
@@ -544,8 +544,10 @@ def evaluate_temporal(model, dataset: TemporalDataset) -> Metrics:
 def depth_energy_study(bundle: DatasetBundle, depths, cfg: TrainConfig,
                        split_index: int = 0) -> list[dict]:
     """Train the ADR model and the convolution baseline at each depth;
-    record test accuracy and the per-layer relative Dirichlet energy of the
-    trained models."""
+    record test accuracy and the Dirichlet energy of each stage of the
+    trained models (the embedding, then each layer's output), absolute and
+    relative to stage 0. A zero stage-0 energy leaves the energies as they
+    are."""
     rows = []
     for depth in depths:
         cfg_d = replace(cfg, layers=int(depth))
@@ -555,12 +557,13 @@ def depth_energy_study(bundle: DatasetBundle, depths, cfg: TrainConfig,
             _logits, stages = result.model.forward(
                 bundle.graph, model_input(result.model, bundle), train=False,
                 diagnostics=True)
-            report = EnergyReport.from_energies(layer_energy_profile(bundle.graph, stages))
+            energies = [dirichlet_energy(bundle.graph, s.value) for s in stages]
+            base = energies[0] if energies[0] > 0 else 1.0
             rows.append({
                 "model": kind, "depth": int(depth),
                 "accuracy": result.metrics.accuracy,
-                "energies": report.per_layer_energy,
-                "relative_energy": report.relative_energy,
+                "energies": energies,
+                "relative_energy": [e / base for e in energies],
             })
     return rows
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adrgnn.graph import (EnergyReport, Graph, build_graph, dirichlet_energy,
-                          erdos_renyi, laplacian_apply)
+from adrgnn.graph import Graph, build_graph, dirichlet_energy, erdos_renyi, laplacian_apply
 from adrgnn.runtime import philox
 
 from conftest import laplacian_dense
@@ -152,7 +151,8 @@ class TestConstantOperators:
 
     def test_cached_on_first_access(self):
         g = erdos_renyi(8, 0.4, seed=2)
-        for name in ("scatter_src", "scatter_dst", "max_plan", "gcn_adjacency"):
+        for name in ("scatter_src", "scatter_dst", "max_plan", "gcn_adjacency",
+                     "gcn_adjacency_float32"):
             assert getattr(g, name) is getattr(g, name)
 
     def test_gcn_adjacency_formula(self):
@@ -191,16 +191,6 @@ class TestDirichletEnergy:
         g = erdos_renyi(7, 0.4, seed=seed)
         u = philox(seed).standard_normal((7, 2))
         assert dirichlet_energy(g, u) >= 0.0
-
-
-class TestEnergyReport:
-    def test_relative_starts_at_one(self):
-        report = EnergyReport.from_energies([4.0, 2.0, 1.0])
-        assert report.relative_energy == [1.0, 0.5, 0.25]
-
-    def test_zero_base(self):
-        report = EnergyReport.from_energies([0.0, 0.0])
-        assert report.per_layer_energy == [0.0, 0.0]
 
 
 class TestErdosRenyi:

@@ -14,9 +14,9 @@ import adrgnn.autodiff as ad
 from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.data import (DatasetBundle, TemporalDataset, generate_splits,
                          make_planted_partition, make_transport_task)
-from adrgnn.graph import build_graph, erdos_renyi
+from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, SparseFeatures,
-                           broadcast_time_embedding, layer_energy_profile, time_embedding)
+                           broadcast_time_embedding, time_embedding)
 from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, TrainingDiverged,
                              _binary_roc_auc, ablation_study, aggregate_metrics, classification_metrics,
                              depth_energy_study, evaluate, evaluate_temporal, model_input,
@@ -973,20 +973,35 @@ class TestStudies:
             assert r["relative_energy"][0] == pytest.approx(1.0)
             assert len(r["relative_energy"]) == 3  # embedding plus two layers
 
+    def test_depth_energy_study_relative_energy_is_the_ratio_to_stage_zero(self, bundle):
+        cfg = flat_cfg(epochs=3, patience=3, layers=2, hidden=8)
+        for r in depth_energy_study(bundle, [2], cfg):
+            assert r["energies"][0] > 0
+            assert r["relative_energy"] == [e / r["energies"][0] for e in r["energies"]]
+
+    def test_depth_energy_study_zero_energy_base(self):
+        """Without edges every stage has zero energy; the relative energies
+        are those zeros, not a division by zero."""
+        edgeless = make_planted_partition(24, 2, 0.0, 0.0, feat_dim=3, noise=1.0,
+                                          seed=5, k_splits=1)
+        assert edgeless.graph.n_edges == 0
+        cfg = flat_cfg(epochs=2, patience=2, layers=2, hidden=4)
+        for r in depth_energy_study(edgeless, [2], cfg):
+            assert r["energies"] == r["relative_energy"] == [0.0, 0.0, 0.0]
+
     def test_depth_energy_study_runs_the_trained_terms(self, bundle):
         cfg = flat_cfg(epochs=5, patience=5, layers=2, hidden=8, terms="A")
         row = next(r for r in depth_energy_study(bundle, [2], cfg) if r["model"] == "adr")
         model = train_node_classification(bundle, cfg).model
         _logits, stages = model.forward(bundle.graph, bundle.features, terms="A",
                                         diagnostics=True)
-        assert row["energies"] == layer_energy_profile(bundle.graph, stages)
+        assert row["energies"] == [dirichlet_energy(bundle.graph, s.value) for s in stages]
 
     def test_deep_convolution_oversmooths_where_adr_does_not(self):
         """Trained at depth 64 on a citation-like fixture, the convolution
         baseline's final-layer relative Dirichlet energy falls below 1e-2
         while the three-term model's stays above it (thresholds pinned from
         recorded runs of this fixture: 6.8e-4 vs 1.9e27)."""
-        from adrgnn.graph import dirichlet_energy
         bundle = make_planted_partition(60, 3, 0.25, 0.03, feat_dim=8, noise=1.0, seed=7)
         cfg = flat_cfg(epochs=60, patience=60, layers=64, hidden=16)
         rows = depth_energy_study(bundle, [64], cfg)
