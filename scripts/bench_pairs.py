@@ -20,6 +20,8 @@ run: the parent's own spread is then too wide to tell. Quartiles are
 so at least two pairs are needed. It exits 1 if a run fails or reports
 ``correct: false``, and, after printing the summary, if any metric's bound
 is ``EXCEEDED``; so it can gate a change. ``unresolved`` does not fail.
+``--out FILE`` also writes the pairs' values and each metric's summary, with
+its bound and gain verdicts, to FILE as JSON.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--out", type=Path, help="write the pairs and summaries as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -97,17 +100,27 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s: "
           "median [quartiles], parent -> change")
-    exceeded = []
+    exceeded, summaries = [], {}
     for m in spec:
         s = summarize([(p[m["name"]], c[m["name"]]) for p, c in runs], m["better"], m["bound"])
         (pm, p1, p3), (cm, c1, c3) = s["parent"], s["change"]
         verdict = bound_verdict(s)
+        summaries[m["name"]] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            **{side: dict(zip(("median", "q1", "q3"), s[side])) for side in ("parent", "change")},
+            "wins": s["wins"], "bound_verdict": verdict, "gain_holds": s["gain_holds"]}
         if verdict == "EXCEEDED":
             exceeded.append(m["name"])
         print(f"{m['name']:16s} {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}]"
               f"  wins {s['wins']}/{s['pairs']}"
               f"  bound {verdict}"
               f"  gain {'holds' if s['gain_holds'] else 'not shown'}")
+    if args.out:
+        args.out.write_text(json.dumps({
+            "workload": args.workload, "seed": args.seed, "run_seconds": seconds,
+            "pairs": [{"parent_first": i % 2 == 0, "parent": p, "change": c}
+                      for i, (p, c) in enumerate(runs)],
+            "metrics": summaries}, indent=1) + "\n")
     if exceeded:
         print(f"bound EXCEEDED: {', '.join(exceeded)}", file=sys.stderr)
         return 1

@@ -14,8 +14,9 @@ instead of living until backward ends.
 The primitives are dense linear algebra, elementwise nonlinearities,
 products with constant linear operators (edge gathers and scatters among
 them), a segment softmax over a graph's directed-edge order, masked losses,
-the advection step, which recomputes its edge velocities in backward, and
-the diffusion solve as a fixed Chebyshev series with an exact backward rule.
+the advection step, which recomputes its edge velocities in backward, the
+reaction step, which recomputes its tanh, and the diffusion solve as a
+fixed Chebyshev series with an exact backward rule.
 """
 
 from __future__ import annotations
@@ -305,16 +306,6 @@ def hadamard(a, b) -> Variable:
     return _emit(out, (a, b), bwd)
 
 
-def scale_by_scalar(x, s: float) -> Variable:
-    x = _as_variable(x)
-    s = float(s)
-
-    def bwd(g):
-        return (g * s,)
-
-    return _emit(x.value * s, (x,), bwd)
-
-
 def relu(x) -> Variable:
     x = _as_variable(x)
     mask = x.value > 0  # derivative at 0 is 0
@@ -323,16 +314,6 @@ def relu(x) -> Variable:
         return (g * mask,)
 
     return _emit(np.maximum(x.value, 0.0), (x,), bwd)
-
-
-def tanh(x) -> Variable:
-    x = _as_variable(x)
-    out = np.tanh(x.value)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _emit(out, (x,), bwd)
 
 
 def hardtanh(x, lo: float, hi: float) -> Variable:
@@ -536,39 +517,74 @@ class BatchNormState:
     def zeros(cls, c: int) -> "BatchNormState":
         return cls(np.zeros(c, dtype=default_dtype()), np.ones(c, dtype=default_dtype()))
 
-
-def batch_norm(x, gamma, beta, state: BatchNormState, train: bool,
-               momentum: float = 0.1, eps: float = 1e-5) -> Variable:
-    """Per-feature normalization over nodes; running stats frozen at eval."""
-    x, gamma, beta = _as_variable(x), _as_variable(gamma), _as_variable(beta)
-    xv = x.value
-    n = xv.shape[0]
-    if train:
-        mu = xv.mean(axis=0)
-        var = xv.var(axis=0)
+    def normalize(self, x: np.ndarray, train: bool, momentum: float = 0.1,
+                  eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+        """``(xhat, inv_std)``: ``x`` normalized per feature over nodes, by
+        the batch statistics in training (which move the running ones) and
+        by the frozen running statistics in evaluation."""
+        if not train:
+            inv_std = 1.0 / np.sqrt(self.running_var + eps)
+            return (x - self.running_mean) * inv_std, inv_std
+        n = x.shape[0]
+        mu = x.mean(axis=0)
+        var = x.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (xv - mu) * inv_std
-        state.running_mean = (1 - momentum) * state.running_mean + momentum * mu
+        self.running_mean = (1 - momentum) * self.running_mean + momentum * mu
         unbiased = var * (n / max(n - 1, 1))
-        state.running_var = (1 - momentum) * state.running_var + momentum * unbiased
+        self.running_var = (1 - momentum) * self.running_var + momentum * unbiased
+        return (x - mu) * inv_std, inv_std
 
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
-            dxhat = g * gamma.value
-            dx = inv_std / n * (n * dxhat - dxhat.sum(axis=0)
-                                - xhat * (dxhat * xhat).sum(axis=0))
-            return dx, dgamma, dbeta
-    else:
-        inv_std = 1.0 / np.sqrt(state.running_var + eps)
-        xhat = (xv - state.running_mean) * inv_std
 
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=0)
-            dbeta = g.sum(axis=0)
-            return g * gamma.value * inv_std, dgamma, dbeta
+def reaction(u, u0, weights: Sequence, h: float, state: Optional[BatchNormState] = None,
+             train: bool = False) -> Variable:
+    """Reaction step ``u + h relu(pre)`` for ``pre = (u w1 + b1) + tanh(u w2 + b2) * u
+    + (u0 w3 + b3)`` as one op, with ``weights = (w1, b1, w2, b2, w3, b3)``.
+    Given batch-norm ``state``, ``weights`` ends with ``gamma, beta`` and the
+    ReLU takes ``gamma * xhat + beta`` for ``xhat`` from
+    :meth:`BatchNormState.normalize`. The record keeps ``u``, ``u0``, the
+    weights, the ReLU's bool mask and any ``xhat``; the rule recomputes the
+    tanh (Chen et al. 2016, arXiv 1604.06174). ``u`` is four inputs, so its
+    gradient sums its parts in the order of separate records: the skip, then
+    (past u0's r3 part, for ``u0`` may be ``u``) the hadamard, r2 and r1."""
+    u, u0, h = _as_variable(u), _as_variable(u0), float(h)
+    uv, u0v = u.value, u0.value
+    if uv.shape != u0v.shape:
+        raise ValueError(f"reaction: u shape {uv.shape} != u0 shape {u0v.shape}")
+    weights = [_as_variable(v) for v in weights]
+    w1, b1, w2, b2, w3, b3 = (v.value for v in weights[:6])
+    pre = _affine(uv, w1, b1)
+    pre += np.tanh(_affine(uv, w2, b2)) * uv
+    pre += _affine(u0v, w3, b3)
+    if state is not None:
+        gamma, beta = weights[6:]
+        xhat, inv_std = state.normalize(pre, train)
+        pre = gamma.value * xhat + beta.value
+    mask = pre > 0  # derivative at 0 is 0
+    out = np.maximum(pre, 0.0, out=pre)
+    out *= h
+    out += uv
 
-    return _emit(gamma.value * xhat + beta.value, (x, gamma, beta), bwd)
+    def bwd(g):
+        g_pre = g * h
+        g_pre *= mask
+        g_norm = ()
+        if state is not None:
+            g_norm = (g_pre * xhat).sum(axis=0), g_pre.sum(axis=0)
+            g_xhat = g_pre * gamma.value
+            if train:
+                n = len(g_xhat)
+                g_pre = inv_std / n * (n * g_xhat - g_xhat.sum(axis=0)
+                                       - xhat * (g_xhat * xhat).sum(axis=0))
+            else:
+                g_pre = g_xhat * inv_std
+        t = np.tanh(_affine(uv, w2, b2))
+        g_t = g_pre * uv
+        g_t *= 1.0 - t * t
+        return (g, g_pre @ w3.T, g_pre * t, g_t @ w2.T, g_pre @ w1.T,
+                uv.T @ g_pre, g_pre.sum(axis=0), uv.T @ g_t, g_t.sum(axis=0),
+                u0v.T @ g_pre, g_pre.sum(axis=0), *g_norm)
+
+    return _emit(out, (u, u0, u, u, u, *weights), bwd)
 
 
 # ---------------------------------------------------------------------------

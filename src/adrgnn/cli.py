@@ -181,6 +181,10 @@ def cmd_train(args) -> int:
                   f"(best epoch {run.best_epoch})")
         name = bundle.name
     elif kind == "temporal":
+        if args.workers > 1:
+            raise ValueError(f"--workers {args.workers}: the repetitions of a temporal "
+                             "dataset train in one process; --workers applies to "
+                             "node-classification splits")
         dataset = load_temporal_dataset(args.dataset)
         if options["normalize"] != "none":
             dataset, _inv = normalize_series(dataset, scheme=options["normalize"])

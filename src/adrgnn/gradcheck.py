@@ -74,6 +74,8 @@ def primitive_checks(seed: int = 0) -> list[dict]:
     w4 = Variable(rng.standard_normal((c, c)), requires_grad=True)
     bias2 = Variable(rng.standard_normal(c), requires_grad=True)
     bn_state = BatchNormState.zeros(c)
+    bias3 = Variable(rng.standard_normal(c), requires_grad=True)
+    reaction_weights = [w, bias, w2, bias2, w3, bias3]
     # velocities from y: the op records them with this network, apart from x
     velocity_net = AdvectionParams(Linear(w, bias), Linear(w2, bias2), Linear(w3), Linear(w4))
 
@@ -84,9 +86,7 @@ def primitive_checks(seed: int = 0) -> list[dict]:
         "add": (lambda: _weighted_sum(ad.add(x, bias), philox(seed + 4)), [x, bias]),
         "subtract": (lambda: _weighted_sum(ad.subtract(x, y), philox(seed + 5)), [x, y]),
         "hadamard": (lambda: _weighted_sum(ad.hadamard(x, y), philox(seed + 6)), [x, y]),
-        "scale_by_scalar": (lambda: _weighted_sum(ad.scale_by_scalar(x, 0.37), philox(seed + 7)), [x]),
         "relu": (lambda: _weighted_sum(ad.relu(x), philox(seed + 8)), [x]),
-        "tanh": (lambda: _weighted_sum(ad.tanh(x), philox(seed + 9)), [x]),
         "hardtanh": (lambda: _weighted_sum(ad.hardtanh(x, 0.0, 1.0), philox(seed + 10)), [x]),
         "dropout": (lambda: _weighted_sum(ad.dropout(x, 0.4, 123), philox(seed + 11)), [x]),
         "row_gather": (lambda: _weighted_sum(
@@ -106,12 +106,15 @@ def primitive_checks(seed: int = 0) -> list[dict]:
             ad.segment_softmax(edge_vals, g.edge_src, g.scatter_src, g.max_plan),
             philox(seed + 16)), [edge_vals]),
         "total_sum": (lambda: ad.total_sum(x), [x]),
-        "batch_norm_train": (lambda: _weighted_sum(
-            ad.batch_norm(x, gamma, beta, bn_state, train=True), philox(seed + 17)),
-            [x, gamma, beta]),
-        "batch_norm_eval": (lambda: _weighted_sum(
-            ad.batch_norm(x, gamma, beta, bn_state, train=False), philox(seed + 18)),
-            [x, gamma, beta]),
+        "reaction": (lambda: _weighted_sum(
+            ad.reaction(x, y, reaction_weights, 0.7), philox(seed + 9)),
+            [x, y] + reaction_weights),
+        "reaction_batch_norm_train": (lambda: _weighted_sum(ad.reaction(
+            x, y, reaction_weights + [gamma, beta], 0.7, bn_state, train=True),
+            philox(seed + 17)), [x, y, gamma, beta] + reaction_weights),
+        "reaction_batch_norm_eval": (lambda: _weighted_sum(ad.reaction(
+            x, y, reaction_weights + [gamma, beta], 0.7, bn_state, train=False),
+            philox(seed + 18)), [x, y, gamma, beta] + reaction_weights),
         "cross_entropy": (lambda: ad.cross_entropy(x, labels, mask), [x]),
         "mse": (lambda: ad.mse(x, target, mask), [x]),
         "mae": (lambda: ad.mae(x, target, mask), [x]),

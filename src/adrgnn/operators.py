@@ -8,9 +8,9 @@ computed untaped; the advection step records them with the network they
 came from, as one op that recomputes them in backward. Diffusion takes an
 implicit Euler step of the normalized-Laplacian heat flow, applied per
 channel as a fixed-degree Chebyshev series in the Laplacian. Reaction is a
-pointwise MLP update with a skip connection to the initial embedding. One
-layer applies the three solution operators in sequence (advection,
-diffusion, reaction).
+pointwise MLP update with a skip connection to the initial embedding, taped
+as one op that recomputes its tanh in backward. One layer applies the three
+solution operators in sequence (advection, diffusion, reaction).
 """
 
 from __future__ import annotations
@@ -245,16 +245,10 @@ def react(u, u0, params: ReactionParams, h: float, train: bool = False) -> Varia
     """Pointwise update u + h * sigma(u r1 + tanh(u r2) (.) u + u0 r3).
 
     sigma is ReLU, optionally preceded by batch normalization. No cross-node
-    mixing: output row i depends only on rows i of u and u0.
+    mixing: output row i depends only on rows i of u and u0. One taped op
+    (:func:`ad.reaction`), which recomputes the tanh in backward.
     """
-    u, u0 = ad._as_variable(u), ad._as_variable(u0)
-    if u.value.shape != u0.value.shape:
-        raise ValueError(f"react: u shape {u.value.shape} != u0 shape {u0.value.shape}")
-    pre = ad.add(ad.add(params.r1(u), ad.hadamard(ad.tanh(params.r2(u)), u)),
-                 params.r3(u0))
-    if params.use_batchnorm:
-        pre = ad.batch_norm(pre, params.bn_gamma, params.bn_beta, params.bn_state, train)
-    return ad.add(u, ad.scale_by_scalar(ad.relu(pre), h))
+    return ad.reaction(u, u0, params.parameters(), h, params.bn_state, train)
 
 
 # ---------------------------------------------------------------------------

@@ -86,3 +86,47 @@ def prenorm_orientations(g, u, params):
                                             g.edge_src, g.edge_dst),
                              params.a3.w.value, g.rev_edge)
     return Variable(asym), Variable(np.take(asym, g.rev_edge, axis=0))
+
+
+# ---------------------------------------------------------------------------
+# op-by-op oracles of the fused ops: records the fused ops replaced
+
+def taped_scale(x, s: float):
+    """``x * s`` as its own record."""
+    x = ad._as_variable(x)
+    return ad._emit(x.value * s, (x,), lambda g: (g * s,))
+
+
+def taped_tanh(x):
+    """``tanh(x)`` as its own record."""
+    x = ad._as_variable(x)
+    out = np.tanh(x.value)
+    return ad._emit(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
+def taped_batch_norm(x, gamma, beta, state, train: bool):
+    """``gamma * xhat + beta`` as its own record, ``xhat`` from ``state.normalize``."""
+    x, gamma, beta = (ad._as_variable(v) for v in (x, gamma, beta))
+    xhat, inv_std = state.normalize(x.value, train)
+
+    def bwd(g):
+        dgamma, dbeta, dxhat = (g * xhat).sum(axis=0), g.sum(axis=0), g * gamma.value
+        if not train:
+            return dxhat * inv_std, dgamma, dbeta
+        n = len(g)
+        return (inv_std / n * (n * dxhat - dxhat.sum(axis=0)
+                               - xhat * (dxhat * xhat).sum(axis=0)), dgamma, dbeta)
+
+    return ad._emit(gamma.value * xhat + beta.value, (x, gamma, beta), bwd)
+
+
+def composed_reaction(u, u0, weights, h, state=None, train=False):
+    """``ad.reaction`` as the ten records (eleven with batch norm) it
+    replaced: three maps, tanh, hadamard, two adds, [batch norm,] ReLU,
+    scale and the skip's add."""
+    w1, b1, w2, b2, w3, b3 = weights[:6]
+    pre = ad.add(ad.add(ad.matmul(u, w1, b1), ad.hadamard(taped_tanh(ad.matmul(u, w2, b2)), u)),
+                 ad.matmul(u0, w3, b3))
+    if state is not None:
+        pre = taped_batch_norm(pre, *weights[6:], state, train)
+    return ad.add(u, taped_scale(ad.relu(pre), h))

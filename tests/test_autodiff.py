@@ -13,12 +13,24 @@ from adrgnn.graph import build_graph, erdos_renyi
 from adrgnn.models import AdrGnnStatic
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
-from conftest import check_grads, fd_gradient, ad_gradient, max_rel_err
+from conftest import (ad_gradient, check_grads, composed_reaction, fd_gradient, max_rel_err,
+                      taped_scale)
 
 
 def weighted_sum(out, seed=0):
     w = Variable(philox(seed).standard_normal(out.value.shape))
     return ad.total_sum(ad.hadamard(out, w))
+
+
+def _reaction_weights(gen, c: int, batch_norm: bool = False) -> list:
+    """Random ``ad.reaction`` weights w1, b1, w2, b2, w3, b3, then gamma and
+    beta with ``batch_norm``."""
+    weights = [Variable(gen.standard_normal(shape), requires_grad=True)
+               for _ in range(3) for shape in ((c, c), (c,))]
+    if batch_norm:
+        weights += [Variable(gen.uniform(0.5, 1.5, c), requires_grad=True),
+                    Variable(gen.standard_normal(c), requires_grad=True)]
+    return weights
 
 
 class TestForwardValues:
@@ -188,7 +200,7 @@ class TestBackwardSemantics:
             x = Variable(gen.standard_normal((5, 4)), requires_grad=True)
             w = Variable(gen.standard_normal((4, 3)), requires_grad=True)
             with Tape() as tape:
-                out = ad.dropout(ad.tanh(ad.matmul(x, w)), 0.3, 5)
+                out = ad.dropout(ad.relu(ad.matmul(x, w)), 0.3, 5)
                 loss = ad.total_sum(ad.hadamard(out, out))
             backward(tape, loss)
             return loss.value.copy(), x.grad.copy(), w.grad.copy()
@@ -252,16 +264,16 @@ class TestTapeMemory:
         x = Variable(philox(0).standard_normal((4, 3)), requires_grad=True)
         w = Variable(philox(1).standard_normal((4, 3)), requires_grad=True)
         with Tape() as tape:
-            # add's rule keeps only shapes, scale_by_scalar's only the scalar
+            # add's rule keeps only shapes
             s = ad.add(x, w)
             value = weakref.ref(s.value)
-            y = ad.scale_by_scalar(s, 3.0)
+            y = ad.add(s, s)
             del s
             assert value() is None
             loss = ad.total_sum(y)
         backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, np.full((4, 3), 3.0))
-        np.testing.assert_array_equal(w.grad, np.full((4, 3), 3.0))
+        np.testing.assert_array_equal(x.grad, np.full((4, 3), 2.0))
+        np.testing.assert_array_equal(w.grad, np.full((4, 3), 2.0))
 
     def test_variable_from_an_earlier_tape_is_a_constant_on_a_later_one(self):
         gen = philox(2)
@@ -274,7 +286,7 @@ class TestTapeMemory:
             v = Variable(v0, requires_grad=True)
             with Tape() as tape:
                 # this record takes tape_id 0, the index h carries from the first tape
-                r = ad.scale_by_scalar(v, 2.0)
+                r = ad.add(v, v)
                 loss = ad.total_sum(ad.hadamard(h_input, r))
             assert r.tape_id == h.tape_id == 0
             backward(tape, loss)
@@ -291,7 +303,8 @@ class TestTapeMemory:
             out = model.forward(g, philox(4).standard_normal((12, 3)), train=True,
                                 rng=SeedStream(0))
             loss = ad.cross_entropy(out, np.arange(12) % 2)
-        assert len(tape.records) > 10
+        # embedding, advection, hardtanh, series, reaction, dropout, head, loss
+        assert len(tape.records) == 8
         for node, slots, _rule in tape.records:
             assert node.value is None
             for slot in slots:
@@ -321,7 +334,7 @@ class TestGradientsAgainstFiniteDifferences:
         y = Variable(gen.standard_normal((3, 3)), requires_grad=True)
 
         def loss():
-            return weighted_sum(ad.scale_by_scalar(ad.hadamard(ad.subtract(x, y), x), 0.7))
+            return weighted_sum(ad.hadamard(ad.hadamard(ad.subtract(x, y), x), 0.7))
 
         check_grads(loss, [x, y], self.TOL)
 
@@ -329,7 +342,6 @@ class TestGradientsAgainstFiniteDifferences:
         gen = philox(3)
         x = Variable(gen.standard_normal((4, 2)) + 0.2, requires_grad=True)
         check_grads(lambda: weighted_sum(ad.relu(x), 1), [x], self.TOL)
-        check_grads(lambda: weighted_sum(ad.tanh(x), 2), [x], self.TOL)
         check_grads(lambda: weighted_sum(ad.hardtanh(x, 0.0, 1.0), 3), [x], self.TOL)
 
     def test_dropout_fixed_mask(self):
@@ -362,19 +374,20 @@ class TestGradientsAgainstFiniteDifferences:
         check_grads(loss, [a, b], self.TOL)
 
     def test_batch_norm_train_and_eval(self):
+        """The reaction step with batch norm, whose rule holds its gradient."""
         gen = philox(8)
         x = Variable(gen.standard_normal((6, 3)), requires_grad=True)
-        gamma = Variable(gen.uniform(0.5, 1.5, 3), requires_grad=True)
-        beta = Variable(gen.standard_normal(3), requires_grad=True)
+        u0 = Variable(gen.standard_normal((6, 3)), requires_grad=True)
+        weights = _reaction_weights(gen, 3, batch_norm=True)
         state = BatchNormState.zeros(3)
         # weight seed distinct from the input seed: an upstream gradient
         # collinear with x sits in batch norm's scale-invariant null space
-        check_grads(lambda: weighted_sum(
-            ad.batch_norm(x, gamma, beta, state, train=True), 80), [x, gamma, beta], self.TOL)
+        check_grads(lambda: weighted_sum(ad.reaction(x, u0, weights, 0.7, state, train=True),
+                                         80), [x, u0] + weights, self.TOL)
         state.running_mean = gen.standard_normal(3)
         state.running_var = gen.uniform(0.5, 2.0, 3)
-        check_grads(lambda: weighted_sum(
-            ad.batch_norm(x, gamma, beta, state, train=False), 81), [x, gamma, beta], self.TOL)
+        check_grads(lambda: weighted_sum(ad.reaction(x, u0, weights, 0.7, state, train=False),
+                                         81), [x, u0] + weights, self.TOL)
 
     def test_losses(self):
         gen = philox(9)
@@ -393,30 +406,26 @@ class TestGradientsAgainstFiniteDifferences:
             w = Variable(gen.standard_normal((3, 3)), requires_grad=True)
 
             def loss():
-                return weighted_sum(ad.tanh(ad.matmul(ad.relu(x), w)), 200 + i)
+                return weighted_sum(ad.hardtanh(ad.matmul(ad.relu(x), w), -1.0, 1.0), 200 + i)
 
             check_grads(loss, [x, w], self.TOL)
 
 
 class TestBatchNormState:
     def test_running_stats_updated_in_train_frozen_in_eval(self):
-        gen = philox(10)
-        x = Variable(gen.standard_normal((50, 2)) * 3 + 1)
-        gamma = Variable(np.ones(2))
-        beta = Variable(np.zeros(2))
+        x = philox(10).standard_normal((50, 2)) * 3 + 1
         state = BatchNormState.zeros(2)
-        ad.batch_norm(x, gamma, beta, state, train=True, momentum=1.0)
-        np.testing.assert_allclose(state.running_mean, x.value.mean(axis=0))
+        state.normalize(x, train=True, momentum=1.0)
+        np.testing.assert_allclose(state.running_mean, x.mean(axis=0))
         frozen_mean = state.running_mean.copy()
-        ad.batch_norm(x, gamma, beta, state, train=False)
+        state.normalize(x, train=False)
         np.testing.assert_array_equal(state.running_mean, frozen_mean)
 
     def test_train_output_standardized(self):
-        x = Variable(philox(11).standard_normal((200, 3)) * 5 + 2)
-        out = ad.batch_norm(x, Variable(np.ones(3)), Variable(np.zeros(3)),
-                            BatchNormState.zeros(3), train=True)
-        np.testing.assert_allclose(out.value.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.value.std(axis=0), 1.0, atol=1e-3)
+        x = philox(11).standard_normal((200, 3)) * 5 + 2
+        xhat, _inv_std = BatchNormState.zeros(3).normalize(x, train=True)
+        np.testing.assert_allclose(xhat.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(xhat.std(axis=0), 1.0, atol=1e-3)
 
 
 class TestLosses:
@@ -608,7 +617,7 @@ class TestWeightedTransport:
                         x_src = ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, x)
                         inbound = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst,
                                                          ad.hadamard(w, x_src))
-                        y = ad.add(x, ad.scale_by_scalar(
+                        y = ad.add(x, taped_scale(
                             ad.subtract(inbound, ad.hadamard(x, keep)), 0.6))
                     loss = ad.total_sum(ad.hadamard(y, upstream))
                 backward(tape, loss)
@@ -625,3 +634,72 @@ class TestWeightedTransport:
         g = _segment_graphs()["erdos_renyi_6"]
         with pytest.raises(ValueError, match="advection"):
             ad.advection(np.ones((g.n_nodes, 3)), np.ones((g.n_edges, 2)), 0.5, g)
+
+
+class TestFusedReaction:
+    """``ad.reaction`` against the records it replaced (``conftest.composed_reaction``)."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("norm", [None, "train", "eval"])
+    @pytest.mark.parametrize("u0_is_u", [False, True], ids=["u0", "u0_is_u"])
+    def test_matches_the_composed_records_bit_for_bit(self, dtype, norm, u0_is_u):
+        """The value, the running statistics and every gradient, to the bit,
+        with ``u`` also used outside the op (and as ``u0``), so that its
+        gradient sums its parts in the tape's order; the op makes 9 records
+        fewer, 10 with batch norm."""
+        previous = default_dtype().name
+        set_default_dtype(dtype)
+        try:
+            gen = philox(50)
+            n, c = 9, 4
+            u_value, u0_value = gen.standard_normal((2, n, c))
+            upstream, outside = (Variable(gen.standard_normal((n, c))) for _ in range(2))
+            weight_values = [w.value for w in _reaction_weights(gen, c, norm is not None)]
+            stats = gen.standard_normal(c), gen.uniform(0.5, 2.0, c)
+            results = []
+            for op in (ad.reaction, composed_reaction):
+                u = Variable(u_value, requires_grad=True)
+                u0 = u if u0_is_u else Variable(u0_value, requires_grad=True)
+                weights = [Variable(v, requires_grad=True) for v in weight_values]
+                state = BatchNormState(*(Variable(s).value for s in stats)) if norm else None
+                with Tape() as tape:
+                    y = op(u, u0, weights, 0.6, state, norm == "train")
+                    loss = ad.add(ad.total_sum(ad.hadamard(y, upstream)),
+                                  ad.total_sum(ad.hadamard(u, outside)))
+                backward(tape, loss)
+                arrays = [y.value, u.grad, u0.grad] + [w.grad for w in weights]
+                if state is not None:
+                    arrays += [state.running_mean, state.running_var]
+                results.append((arrays, len(tape.records)))
+            (fused, fused_records), (composed, composed_records) = results
+            assert fused_records == composed_records - (9 if norm is None else 10)
+            relu_zero = fused[0] == u_value.astype(dtype)
+            assert relu_zero.any() and not relu_zero.all()  # the mask is mixed
+            for got, want in zip(fused, composed):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        finally:
+            set_default_dtype(previous)
+
+    def test_the_record_keeps_u_u0_and_a_bool_mask(self):
+        """Of node-sized arrays the rule holds only ``u``'s and ``u0``'s
+        values and the ReLU's bool mask: no tanh output."""
+        gen = philox(51)
+        u, u0 = (Variable(gen.standard_normal((6, 3)), requires_grad=True) for _ in range(2))
+        with Tape() as tape:
+            ad.reaction(u, u0, _reaction_weights(gen, 3), 0.5)
+        ((_node, _slots, rule),) = tape.records
+        held = []
+        for cell in rule.__closure__:
+            try:
+                held.append(cell.cell_contents)
+            except ValueError:  # a batch-norm cell: empty without batch norm
+                pass
+        node_sized = [a for a in held if isinstance(a, np.ndarray) and a.shape == (6, 3)]
+        assert len(node_sized) == 3
+        assert any(a is u.value for a in node_sized) and any(a is u0.value for a in node_sized)
+        assert sorted(a.dtype.kind for a in node_sized) == ["b", "f", "f"]
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="reaction: u shape"):
+            ad.reaction(np.zeros((3, 2)), np.zeros((4, 2)), _reaction_weights(philox(0), 2), 0.5)

@@ -128,3 +128,32 @@ def test_main_exits_1_when_a_bound_is_exceeded(bench_pairs, monkeypatch, tmp_pat
     out, err = capsys.readouterr()
     assert out.count("bound EXCEEDED") == code
     assert ("bound EXCEEDED: peak_rss_mb" in err) == bool(code)
+
+
+def test_out_writes_the_pairs_and_the_verdicts(bench_pairs, monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    (tmp_path / "parent").mkdir()
+    runs = {"parent": iter(PARENT), "change": iter([p - 2.0 for p in PARENT])}
+
+    def run_once(root, workload, seed, seconds):
+        side = "parent" if root.name == "parent" else "change"
+        return {"step_ms": 5.0, "peak_rss_mb": next(runs[side])}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path),
+                             "--workload", "w", "--seed", "2", "--pairs", "10",
+                             "--out", str(out)]) == 0
+    saved = json.loads(out.read_text())
+    assert (saved["workload"], saved["seed"], saved["run_seconds"]) == ("w", 2, 1)
+    assert [pair["parent_first"] for pair in saved["pairs"]] == [True, False] * 5
+    assert [pair["parent"]["peak_rss_mb"] for pair in saved["pairs"]] == PARENT
+    assert [pair["change"]["peak_rss_mb"] for pair in saved["pairs"]] == [
+        p - 2.0 for p in PARENT]
+    rss, step = saved["metrics"]["peak_rss_mb"], saved["metrics"]["step_ms"]
+    assert rss["parent"] == pytest.approx({"median": 10.45, "q1": 10.175, "q3": 10.725})
+    assert rss["change"] == pytest.approx({"median": 8.45, "q1": 8.175, "q3": 8.725})
+    assert (rss["unit"], rss["better"], rss["bound"]) == ("MB", "lower", 0.1)
+    assert (rss["wins"], rss["bound_verdict"], rss["gain_holds"]) == (10, "ok", True)
+    assert (step["wins"], step["bound_verdict"], step["gain_holds"]) == (0, "ok", False)
+

@@ -226,6 +226,16 @@ class TestTrainCommand:
         assert "'cross_entropy'" in capsys.readouterr().err
 
 
+    def test_temporal_dataset_refuses_worker_processes(self, toy_temporal, tmp_path, capsys):
+        out = tmp_path / "t"
+        code = main(["train", "--dataset", str(toy_temporal), "--out", str(out),
+                     "--splits", "2", "--epochs", "1", "--loss", "mse", "--workers", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--workers 2" in err and "temporal" in err
+        assert not (out / "metrics.csv").exists()
+
+
 class TestEvalCommand:
     def test_checkpoint_eval_roundtrip(self, toy_dataset, tmp_path):
         run = tmp_path / "run"

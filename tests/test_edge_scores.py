@@ -16,7 +16,7 @@ from adrgnn.operators import (AdrLayerParams, AdvectionParams, adr_layer, advect
                               react)
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
-from conftest import prenorm_orientations
+from conftest import prenorm_orientations, taped_scale
 
 
 def _graphs():
@@ -56,7 +56,7 @@ def _reference_advect(g, u, velocities, h):
     inbound = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst, ad.hadamard(
         velocities, ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, u)))
     outflow = ad.hadamard(u, (~g.isolated).astype(float)[:, None])
-    return ad.add(u, ad.scale_by_scalar(ad.subtract(inbound, outflow), h))
+    return ad.add(u, taped_scale(ad.subtract(inbound, outflow), h))
 
 
 def _reference_layer(g, u, u0, params, h, velocity_features=None):
@@ -262,9 +262,9 @@ class TestFloat32Tape:
         records = _float32_run(monkeypatch, lambda: ad.cross_entropy(
             model.forward(g, x, train=True, rng=SeedStream(5)), labels),
             list(model.named_parameters().values()))
-        # per ADR layer: dropout, advection, hardtanh and the diffusion
-        # series, and 10 reaction records; dropouts, maps and the loss around
-        assert records == 32
+        # per ADR layer: dropout, advection, hardtanh, the diffusion series
+        # and reaction; dropouts, maps and the loss around
+        assert records == 14
 
     def test_temporal(self, monkeypatch):
         g = erdos_renyi(6, 0.6, seed=2)
@@ -277,7 +277,7 @@ class TestFloat32Tape:
         records = _float32_run(monkeypatch, lambda: ad.mse(
             model.forward(g, x, emb, train=True, rng=SeedStream(7)), target),
             list(model.named_parameters().values()))
-        assert records == 40
+        assert records == 22
 
     def test_gcn(self, monkeypatch):
         g = erdos_renyi(30, 0.2, seed=1)

@@ -386,6 +386,43 @@ class TestForwardMemory:
         assert tape_free_forward_peak(kind, 16) <= 1.10 * tape_free_forward_peak(kind, 2)
 
 
+def training_step_peak(depth: int, n: int = 500, c: int = 32) -> int:
+    """tracemalloc peak (bytes) of one ``train_step`` (taped forward with
+    ``configs/cora.json``'s dropouts, backward, AdamW) of a ``depth``-layer
+    classifier with ``c`` hidden channels on an ``n``-node graph of mean
+    degree 4, after a first step has built the cached operators and buffers."""
+    g = erdos_renyi(n, 4.0 / n, seed=3)
+    x, labels = philox(1).standard_normal((n, 8)), philox(2).integers(0, 3, n)
+    model = AdrGnnStatic.init(c_in=8, c_out=3, hidden=c, layers=depth, h=1.0,
+                              dropout_io=0.5, dropout_hidden=0.3, seed=1)
+    optimizer = AdamW(model.param_groups(), {k: 0.01 for k in GROUPS},
+                      {k: 0.0 for k in GROUPS})
+    stream = SeedStream(0)
+
+    def build_loss():
+        return ad.cross_entropy(model.forward(g, x, train=True, rng=stream), labels)
+
+    train_step(optimizer, build_loss, "warm-up")
+    tracemalloc.start()
+    try:
+        train_step(optimizer, build_loss, "measured")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    def test_a_taped_layer_keeps_under_three_and_a_half_node_arrays(self):
+        """Each added layer raises a training step's peak by under 3.5
+        node-sized arrays: the records keep the dropout output (advection's
+        input), the advection output (the diffusion series' input) and the
+        diffusion output (reaction's input), plus two bool masks. A reaction
+        taped op by op also kept its tanh output: about 4.4 arrays."""
+        n, c = 500, 32
+        per_layer = (training_step_peak(8, n, c) - training_step_peak(2, n, c)) / 6
+        assert per_layer < 3.5 * n * c * 8
+
+
 class TestDropoutDrawOrder:
     """A training forward draws one ``SeedStream`` child per dropout site
     with p > 0, in forward order: the input, each layer's input (each

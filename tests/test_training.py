@@ -749,7 +749,7 @@ class TestTrainStep:
         p = Variable(np.array([1.0]), requires_grad=True, name="p")
         opt = AdamW({"g": [p]}, {"g": 0.1}, {"g": 0.0})
         with pytest.raises(TrainingDiverged, match=r"^non-finite loss at here$"):
-            train_step(opt, lambda: ad.total_sum(ad.scale_by_scalar(p, np.inf)), "here")
+            train_step(opt, lambda: ad.total_sum(ad.hadamard(p, np.inf)), "here")
 
         def overflow():
             raise FloatingPointError("boom")
