@@ -100,7 +100,7 @@ def main() -> int:
         sums = features.sum(axis=1, keepdims=True)
         features = features / np.where(sums == 0, 1.0, sums)
 
-    graph = build_graph(edges, n, symmetrize=True)
+    graph = build_graph(edges, n)
     splits = load_split_files(args.splits_dir, args.name, n) if args.splits_dir else None
     split_source = "file" if splits else "generated"
     if splits is None:

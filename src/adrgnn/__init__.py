@@ -12,10 +12,9 @@ from .autodiff import Tape, Variable, backward, cg_solve
 from .graph import Graph, build_graph, dirichlet_energy, erdos_renyi, laplacian_apply
 from .operators import (AdrLayerParams, AdvectionParams, DiffusionParams,
                         EdgeVelocities, ReactionParams, adr_layer, advect,
-                        advection_matrix, diffuse, edge_velocities,
-                        react, splitting_error_study)
-from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, count_parameters,
-                     load_checkpoint, save_checkpoint, time_embedding)
+                        diffuse, edge_velocities, react, splitting_error_study)
+from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, load_checkpoint,
+                     save_checkpoint, time_embedding)
 from .data import (DatasetBundle, TemporalDataset, TransportTask,
                    generate_splits, load_graph_dataset, load_temporal_dataset,
                    make_transport_task, make_windows, normalize_series,

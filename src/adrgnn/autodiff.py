@@ -11,12 +11,17 @@ one slot per input and the backward rule. An intermediate's value is
 therefore freed as soon as neither the caller nor a backward rule holds it,
 instead of living until backward ends.
 
-The primitives are dense linear algebra, elementwise nonlinearities,
-products with constant linear operators (edge gathers and scatters among
-them), a segment softmax over a graph's directed-edge order, masked losses,
-the advection step, which recomputes its edge velocities in backward, the
-reaction step, which recomputes its tanh, and the diffusion solve as a
-fixed Chebyshev series with an exact backward rule.
+The taped primitives are the ops that training records: ``matmul`` (with
+an optional fused bias), ``add``, ``relu``, ``hardtanh``, ``dropout``,
+``concat_columns``, ``fixed_sparse_matmul`` (a product with a constant
+operator: sparse features, the GCN adjacency), the losses
+``cross_entropy``, ``mse`` and ``mae``, ``advection`` (one Euler transport
+step, which recomputes its edge velocities in backward), ``reaction`` (one
+reaction step, which recomputes its tanh) and ``cg_solve`` (the diffusion
+solve as a fixed Chebyshev series with an exact backward rule), plus
+``hadamard`` and ``total_sum``, which reduce an output to the scalar that
+the gradient checks differentiate. ``segment_softmax`` and the edge helpers
+are untaped: the advection op computes the velocities with them.
 """
 
 from __future__ import annotations
@@ -278,20 +283,6 @@ def add(a, b) -> Variable:
     return _emit(out, (a, b), bwd)
 
 
-def subtract(a, b) -> Variable:
-    a, b = _as_variable(a), _as_variable(b)
-    try:
-        out = a.value - b.value
-    except ValueError:
-        raise ValueError(f"subtract: shapes {a.value.shape} and {b.value.shape} do not broadcast")
-    ash, bsh = a.value.shape, b.value.shape
-
-    def bwd(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
-
-    return _emit(out, (a, b), bwd)
-
-
 def hadamard(a, b) -> Variable:
     a, b = _as_variable(a), _as_variable(b)
     try:
@@ -355,18 +346,6 @@ def dropout(x, p: float, rng) -> Variable:
     return _emit(out, (x,), bwd)
 
 
-def slice_columns(x, start: int, stop: int) -> Variable:
-    x = _as_variable(x)
-    shape = x.value.shape
-
-    def bwd(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[:, start:stop] = g
-        return (full,)
-
-    return _emit(x.value[:, start:stop].copy(), (x,), bwd)
-
-
 def concat_columns(parts: Sequence) -> Variable:
     parts = tuple(_as_variable(p) for p in parts)
     widths = [p.value.shape[1] for p in parts]
@@ -378,50 +357,29 @@ def concat_columns(parts: Sequence) -> Variable:
     return _emit(np.concatenate([p.value for p in parts], axis=1), parts, bwd)
 
 
-def segment_softmax(values, source_index, scatter, max_plan) -> Variable:
-    """Channel-wise softmax over each source node's contiguous edge block.
-
-    ``source_index`` holds each row's segment id, sorted non-decreasing (the
-    graph's directed-edge order); ``scatter`` is the constant node-by-edge
-    sum matrix and ``max_plan`` the tree-reduction plan over the same
-    blocks (:attr:`Graph.scatter_src`, :attr:`Graph.max_plan`). The
-    overflow shift is each segment's max, taken by a pairwise tree
-    reduction, which is exact. Each nonempty segment's outputs sum to 1
-    per channel.
-    """
-    values = _as_variable(values)
-    expand_sum = lambda x: np.take(scatter @ x, source_index, axis=0)
+def segment_softmax(values: np.ndarray, graph) -> np.ndarray:
+    """Channel-wise softmax of edge rows in ``graph``'s directed-edge order
+    over each source node's contiguous outbound block, untaped. The
+    overflow shift is each block's max, taken by the pairwise tree
+    reduction of :attr:`Graph.max_plan`, which is exact. Each nonempty
+    block's outputs sum to 1 per channel."""
     # shift, exponentiate and normalize in the buffer that holds the maxima
-    y = _segment_max_rows(values.value, max_plan)
-    np.subtract(values.value, y, out=y)
+    y = _segment_max_rows(values, graph.max_plan)
+    np.subtract(values, y, out=y)
     np.exp(y, out=y)
-    y /= expand_sum(y)
-
-    def bwd(g):
-        return (y * (g - expand_sum(y * g)),)
-
-    return _emit(y, (values,), bwd)
-
-
-def _apply_operator(op, x: np.ndarray) -> np.ndarray:
-    """``op @ x``; an int ndarray ``op`` stands for the 0/1 selector whose
-    row i picks row ``op[i]`` of ``x``, and is applied as that row gather."""
-    if isinstance(op, np.ndarray):
-        return np.take(x, op, axis=0)
-    return op @ x
+    y /= np.take(graph.scatter_src @ y, graph.edge_src, axis=0)
+    return y
 
 
 def fixed_sparse_matmul(matrix, matrix_t, x) -> Variable:
-    """Multiply by a constant linear operator (edge gathers and scatters,
-    graph operators, sparse features); the backward rule applies the
-    supplied transpose. Either operand may be an int row index, the compact
-    form of a 0/1 row selector."""
+    """``matrix @ x`` for a constant linear operator (sparse features, the
+    GCN adjacency); the backward rule applies the supplied transpose."""
     x = _as_variable(x)
 
     def bwd(g):
-        return (_apply_operator(matrix_t, g),)
+        return (matrix_t @ g,)
 
-    return _emit(_apply_operator(matrix, x.value), (x,), bwd)
+    return _emit(matrix @ x.value, (x,), bwd)
 
 
 def edge_hidden(a1u: np.ndarray, a2u: np.ndarray, src: np.ndarray, dst: np.ndarray):
@@ -472,7 +430,7 @@ def advection(u, velocities: np.ndarray, h: float, graph, source: Sequence = ())
         hg, src, dst, scatter_src = g * h, graph.edge_src, graph.edge_dst, graph.scatter_src
         a1u, a2u = _affine(fv, w1v, b1v), _affine(fv, w2v, b2v)
         asym = edge_asymmetry(edge_hidden(a1u, a2u, src, dst), w3v, graph.rev_edge)
-        y = segment_softmax(asym @ w4v, src, scatter_src, graph.max_plan).value
+        y = segment_softmax(asym @ w4v, graph)
         g_y = np.take(hg, dst, axis=0)
         g_u = scatter_src @ (g_y * y)
         g_y *= np.take(uv, src, axis=0)

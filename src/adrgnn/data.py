@@ -199,7 +199,7 @@ def load_graph_dataset(path) -> DatasetBundle:
     """Load a node-classification bundle, validating the whole schema."""
     manifest, n, edges, read = _open_container(path, "node_classification")
     arrays = manifest.get("arrays", {})
-    graph = build_graph(edges, n, symmetrize=True)
+    graph = build_graph(edges, n)
     features = read("features")
     if features.shape[0] != n:
         raise DataFormatError("/arrays/features/shape", f"rows {features.shape[0]} != n_nodes {n}")
@@ -257,7 +257,7 @@ def load_temporal_dataset(path) -> TemporalDataset:
         raise DataFormatError("/arrays/series/shape",
                               f"T={series.shape[0]} < tau_in + tau_out = {tau_in + tau_out}")
     return TemporalDataset(
-        graph=build_graph(edges, n, symmetrize=True), series=series,
+        graph=build_graph(edges, n), series=series,
         timestamps=timestamps, tau_in=tau_in, tau_out=tau_out,
         name=manifest.get("name", "unnamed"),
     )
@@ -283,7 +283,7 @@ def from_temporal_json(payload: dict, name: str = "converted",
     if fx.ndim == 2:
         fx = fx[:, :, None]
     n = fx.shape[1]
-    graph = build_graph(np.asarray(payload["edges"], dtype=np.int64), n, symmetrize=True)
+    graph = build_graph(np.asarray(payload["edges"], dtype=np.int64), n)
     timestamps = np.arange(fx.shape[0], dtype=np.float64)
     return TemporalDataset(graph=graph, series=fx, timestamps=timestamps,
                            tau_in=tau_in, tau_out=tau_out, name=name)
@@ -423,8 +423,8 @@ def make_transport_task(n: int, p: float, n_sources: int, seed: int) -> Transpor
     # memory to a process, and only transport tasks need it
     from scipy.sparse.csgraph import connected_components
 
-    if n_sources >= n:
-        raise ValueError(f"n_sources={n_sources} must be < n={n}")
+    if not 1 <= n_sources < n:
+        raise ValueError(f"n_sources={n_sources} must be >= 1 and < n={n}")
     max_retries = 20
     for attempt in range(max_retries):
         trial_seed = seed + attempt
@@ -458,7 +458,7 @@ def make_planted_partition(n: int, n_classes: int, p_in: float, p_out: float,
     same = labels[iu] == labels[ju]
     prob = np.where(same, p_in, p_out)
     keep = rng.random(len(iu)) < prob
-    graph = build_graph(np.stack([iu[keep], ju[keep]], axis=1), n, symmetrize=True)
+    graph = build_graph(np.stack([iu[keep], ju[keep]], axis=1), n)
     means = rng.normal(0.0, 1.0, size=(n_classes, feat_dim))
     features = means[labels] + noise * rng.normal(0.0, 1.0, size=(n, feat_dim))
     splits = generate_splits(n, ratios, k=k_splits, seed=seed, labels=labels,

@@ -62,7 +62,9 @@ def primitive_checks(seed: int = 0) -> list[dict]:
     y = Variable(rng.standard_normal((n, c)) + 0.05, requires_grad=True)
     w = Variable(rng.standard_normal((c, c)), requires_grad=True)
     bias = Variable(rng.standard_normal(c), requires_grad=True)
-    edge_vals = Variable(rng.standard_normal((g.n_edges, c)), requires_grad=True)
+    # the draw of the edge rows that the deleted gather and softmax rows read:
+    # kept, so the other rows read the inputs they always did
+    rng.standard_normal((g.n_edges, c))
     labels = rng.integers(0, c, size=n)
     mask = np.ones(n, dtype=bool)
     mask[0] = False
@@ -84,27 +86,14 @@ def primitive_checks(seed: int = 0) -> list[dict]:
         "linear": (lambda: _weighted_sum(ad.matmul(x, w, bias), philox(seed + 20)),
                    [x, w, bias]),
         "add": (lambda: _weighted_sum(ad.add(x, bias), philox(seed + 4)), [x, bias]),
-        "subtract": (lambda: _weighted_sum(ad.subtract(x, y), philox(seed + 5)), [x, y]),
         "hadamard": (lambda: _weighted_sum(ad.hadamard(x, y), philox(seed + 6)), [x, y]),
         "relu": (lambda: _weighted_sum(ad.relu(x), philox(seed + 8)), [x]),
         "hardtanh": (lambda: _weighted_sum(ad.hardtanh(x, 0.0, 1.0), philox(seed + 10)), [x]),
         "dropout": (lambda: _weighted_sum(ad.dropout(x, 0.4, 123), philox(seed + 11)), [x]),
-        "row_gather": (lambda: _weighted_sum(
-            ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, x), philox(seed + 12)), [x]),
-        "slice_columns": (lambda: _weighted_sum(ad.slice_columns(x, 1, 3), philox(seed + 13)), [x]),
         "concat_columns": (lambda: _weighted_sum(ad.concat_columns([x, y]), philox(seed + 14)), [x, y]),
-        "segment_sum": (lambda: _weighted_sum(
-            ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst, edge_vals), philox(seed + 15)),
-            [edge_vals]),
-        "rev_edge_gather": (lambda: _weighted_sum(
-            ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, edge_vals), philox(seed + 19)),
-            [edge_vals]),
         "advection": (lambda: _weighted_sum(
             advect(g, x, edge_velocities(g, y, velocity_net), 0.7), philox(seed + 23)),
             [x, y, w, bias, w2, bias2, w3, w4]),
-        "segment_softmax": (lambda: _weighted_sum(
-            ad.segment_softmax(edge_vals, g.edge_src, g.scatter_src, g.max_plan),
-            philox(seed + 16)), [edge_vals]),
         "total_sum": (lambda: ad.total_sum(x), [x]),
         "reaction": (lambda: _weighted_sum(
             ad.reaction(x, y, reaction_weights, 0.7), philox(seed + 9)),

@@ -117,13 +117,9 @@ class Graph:
         return f"Graph(n_nodes={self.n_nodes}, directed_edges={self.n_edges})"
 
 
-def build_graph(edge_list, n_nodes: int, symmetrize: bool = True) -> Graph:
-    """Construct a :class:`Graph` from (i, j) pairs.
-
-    Self-loops are dropped and duplicates removed. With ``symmetrize=True``
-    the reverse of every edge is added; with ``symmetrize=False`` the input
-    must already be closed under reversal.
-    """
+def build_graph(edge_list, n_nodes: int) -> Graph:
+    """Construct a :class:`Graph` from (i, j) pairs, adding the reverse of
+    every edge. Self-loops are dropped and duplicates removed."""
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     edges = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
@@ -135,9 +131,8 @@ def build_graph(edge_list, n_nodes: int, symmetrize: bool = True) -> Graph:
                 f"edge ({offender[0]}, {offender[1]}) out of range for n_nodes={n_nodes}"
             )
         edges = edges[edges[:, 0] != edges[:, 1]]
-    if symmetrize and len(edges):
-        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
     if len(edges):
+        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
         keys = edges[:, 0] * n_nodes + edges[:, 1]
         keys = np.unique(keys)
         src, dst = keys // n_nodes, keys % n_nodes
@@ -193,4 +188,4 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(len(iu)) < p
     pairs = np.stack([iu[keep], ju[keep]], axis=1)
-    return build_graph(pairs, n, symmetrize=True)
+    return build_graph(pairs, n)

@@ -12,6 +12,7 @@ embedding.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 from typing import Optional
 
@@ -23,6 +24,31 @@ from .autodiff import Linear, Variable
 from .graph import Graph
 from .operators import AdrLayerParams, ReactionParams, adr_layer, check_step_size
 from .runtime import SeedStream, default_dtype
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a config (TrainConfig.from_dict, a checkpoint's model config) accepts
+# for each field annotation: bools are not numbers, ints count as floats, and
+# the dicts (lr, weight_decay) map each group to a number
+FIELD_CHECKS = {
+    "int": (lambda v: _number(v) and isinstance(v, int), "an integer"),
+    "float": (_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+             "a table of numbers by group"),
+}
+
+
+def check_sizes(where: str, **sizes) -> None:
+    """ValueError naming the first of ``sizes`` (widths, depths, counts)
+    below 1."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{where}: {name}={size} must be >= 1")
 
 
 def _dropout_rng(rng, train: bool, needed: bool):
@@ -152,8 +178,7 @@ class AdrGnnStatic(ParameterRegistry):
              dropout_io: float = 0.0, dropout_hidden: float = 0.0,
              use_batchnorm: bool = False, cg_iterations: int = 5,
              terms: str = "ADR", seed: int = 0) -> "AdrGnnStatic":
-        if layers < 1:
-            raise ValueError("layers must be >= 1")
+        check_sizes("AdrGnnStatic.init", c_in=c_in, c_out=c_out, hidden=hidden, layers=layers)
         check_step_size(h, "AdrGnnStatic.init")
         stream = SeedStream(seed)
         g_in = Linear.init(c_in, hidden, stream.child(), name="g_in")
@@ -253,8 +278,8 @@ class AdrGnnTemporal(ParameterRegistry):
              dropout_io: float = 0.0, dropout_hidden: float = 0.0,
              use_batchnorm: bool = False, cg_iterations: int = 5,
              seed: int = 0) -> "AdrGnnTemporal":
-        if tau_in < 1 or tau_out < 1:
-            raise ValueError("tau_in and tau_out must be >= 1")
+        check_sizes("AdrGnnTemporal.init", c_in=c_in, c_out=c_out, hidden=hidden,
+                    layers=layers, tau_in=tau_in, tau_out=tau_out)
         check_step_size(h, "AdrGnnTemporal.init")
         c_t = 2 * n_frequencies
         stream = SeedStream(seed)
@@ -298,7 +323,8 @@ class AdrGnnTemporal(ParameterRegistry):
                 f"forward: time embedding {t_emb.value.shape} != ({g.n_nodes}, {c_t})")
         x = _dropout(x, p_io, rng)
         temb = self.g_time_embed(t_emb)
-        last_frame = ad.slice_columns(x, (tau_in - 1) * c_in, tau_in * c_in)
+        # the input takes no gradient: its last frame is a plain slice
+        last_frame = x.value[:, (tau_in - 1) * c_in:]
         u_state = self.g_in_state(ad.concat_columns([last_frame, temb]))
         u_hist = self.g_in_hist(ad.concat_columns([x, temb]))
         u_hist0 = u_hist
@@ -334,6 +360,7 @@ class GcnBaseline(ParameterRegistry):
     @classmethod
     def init(cls, c_in: int, c_out: int, hidden: int, layers: int,
              dropout: float = 0.0, seed: int = 0) -> "GcnBaseline":
+        check_sizes("GcnBaseline.init", c_in=c_in, c_out=c_out, hidden=hidden, layers=layers)
         stream = SeedStream(seed)
         widths = [c_in] + [hidden] * layers
         convs = [Linear.init(widths[l], widths[l + 1], stream.child(), name=f"convs.{l}")
@@ -393,13 +420,22 @@ MODEL_KINDS = {"static": AdrGnnStatic, "temporal": AdrGnnTemporal, "gcn": GcnBas
 
 def build_model(config: dict):
     """A freshly initialized model of ``config["kind"]``; the other config
-    keys are the keyword arguments of that class's ``init``."""
+    keys are the keyword arguments of that class's ``init``, each of the
+    type its signature names. ValueError names an unknown kind, and a key
+    that is unknown, missing or of the wrong type."""
     kind = config.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return MODEL_KINDS[kind].init(**{k: v for k, v in config.items() if k != "kind"})
-
-
-def count_parameters(model) -> int:
-    return sum(v.value.size for v in model.named_parameters().values())
-
+    init = MODEL_KINDS[kind].init
+    params = inspect.signature(init).parameters
+    kwargs = {k: v for k, v in config.items() if k != "kind"}
+    for key, value in kwargs.items():
+        if key not in params:
+            raise ValueError(f"{kind} model config: unknown key {key!r}")
+        accepts, expected = FIELD_CHECKS[params[key].annotation]
+        if not accepts(value):
+            raise ValueError(f"{kind} model config: {key} must be {expected}, got {value!r}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in kwargs]
+    if missing:
+        raise ValueError(f"{kind} model config: missing keys {missing}")
+    return init(**kwargs)

@@ -24,9 +24,6 @@ from . import autodiff as ad
 from .autodiff import BatchNormState, Linear, Variable
 from .graph import Graph, laplacian_apply
 
-# largest graph advection_matrix densifies
-DENSE_LIMIT = 200
-
 
 # ---------------------------------------------------------------------------
 # parameter containers
@@ -182,8 +179,7 @@ def edge_velocities(g: Graph, u, params: AdvectionParams) -> EdgeVelocities:
                              params.a3.w.value, g.rev_edge)
     pre = asym @ params.a4.w.value
     del asym
-    return EdgeVelocities(ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan),
-                          u, params)
+    return EdgeVelocities(Variable(ad.segment_softmax(pre, g)), u, params)
 
 
 def check_step_size(h: float, where: str) -> None:
@@ -204,21 +200,6 @@ def advect(g: Graph, u, v: EdgeVelocities, h: float) -> Variable:
     p = v.params
     source = () if p is None else (v.features, p.a1.w, p.a1.b, p.a2.w, p.a2.b, p.a3.w, p.a4.w)
     return ad.advection(u, v.values.value, h, g, source)
-
-
-def advection_matrix(g: Graph, v: EdgeVelocities, h: float, channel: int) -> np.ndarray:
-    """Dense one-channel transport matrix A with A @ u = advect(u).
-
-    A = (1-h) I + h M with M[dst, src] = v[src->dst]; isolated nodes get
-    A_ii = 1. Column stochastic and nonnegative for h in (0, 1].
-    """
-    if g.n_nodes > DENSE_LIMIT:
-        raise ValueError(f"advection_matrix: n={g.n_nodes} exceeds dense limit {DENSE_LIMIT}")
-    vals = v.values.value[:, channel]
-    m = np.zeros((g.n_nodes, g.n_nodes))
-    np.add.at(m, (g.edge_dst, g.edge_src), vals)
-    diag = np.where(g.isolated, 1.0, 1.0 - h)
-    return np.diag(diag) + h * m
 
 
 # ---------------------------------------------------------------------------

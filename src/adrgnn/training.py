@@ -23,8 +23,9 @@ from .autodiff import Tape, Variable, backward
 from .data import (DatasetBundle, SeriesWindows, TemporalDataset, TransportTask,
                    make_windows)  # noqa: F401
 from .graph import dirichlet_energy
-from .models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline, broadcast_time_embedding,
-                     param_groups, time_embedding_table)
+from .models import (FIELD_CHECKS, AdrGnnStatic, AdrGnnTemporal, GcnBaseline,
+                     broadcast_time_embedding, check_sizes, param_groups,
+                     time_embedding_table)
 from .operators import AdrLayerParams, adr_layer
 from .runtime import SeedStream
 
@@ -48,23 +49,6 @@ CHANNEL_CHOICES = (8, 16, 32, 64, 128, 256)
 # warns on a config value outside them
 RANGES = {"lr": (1e-4, 1e-1, "[1e-4, 1e-1]"), "weight_decay": (0.0, 1e-2, "[0, 1e-2]"),
           "dropout": (0.0, 0.9, "[0, 0.9]"), "h": (1e-3, 1.0, "[1e-3, 1]")}
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# what TrainConfig.from_dict accepts for each field annotation: bools are not
-# numbers, ints count as floats, and the dicts (lr, weight_decay) map each
-# group to a number
-_FIELD_CHECKS = {
-    "int": (lambda v: _number(v) and isinstance(v, int), "an integer"),
-    "float": (_number, "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "dict": (lambda v: isinstance(v, dict) and all(map(_number, v.values())),
-             "a table of numbers by group"),
-}
 
 
 @dataclass
@@ -116,7 +100,7 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
-            accepts, expected = _FIELD_CHECKS[fields[key].type]
+            accepts, expected = FIELD_CHECKS[fields[key].type]
             if not accepts(value):
                 raise ValueError(f"config {key} must be {expected}, got {value!r}")
         cfg = cls(**data)
@@ -608,6 +592,7 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
     channels diverge after one step and break those ties. Diffusion runs at
     the layer's default series degree, as in training.
     """
+    check_sizes("transport_fit", channels=channels)
     g = task.graph
     stream = SeedStream(seed)
     layer_params = [AdrLayerParams.init(channels, stream.child(), name=f"layers.{l}")

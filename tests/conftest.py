@@ -5,6 +5,7 @@ import pytest
 
 import adrgnn.autodiff as ad
 from adrgnn.autodiff import Tape, Variable, backward
+from adrgnn.data import DatasetBundle, generate_splits
 from adrgnn.graph import build_graph, erdos_renyi
 from adrgnn.runtime import philox
 
@@ -18,6 +19,19 @@ def path2():
 @pytest.fixture
 def rng():
     return philox(1234)
+
+
+def bag_of_words_bundle(seed=0, n=1100, vocab=1000) -> DatasetBundle:
+    """Over 2^20 feature entries, about 1% nonzero: the CSR input path."""
+    gen = philox(seed)
+    labels = gen.integers(0, 3, n)
+    on_topic = labels[:, None] * 50 + gen.integers(0, 50, (n, 10))
+    words = np.where(gen.random((n, 10)) < 0.6, on_topic, gen.integers(0, vocab, (n, 10)))
+    features = np.zeros((n, vocab))
+    features[np.arange(n)[:, None], words] = 1.0
+    splits = generate_splits(n, k=1, seed=seed, labels=labels, stratified=True)
+    return DatasetBundle(graph=erdos_renyi(n, 4.0 / n, seed=seed), features=features,
+                         labels=labels, splits=splits, name="bag-of-words")
 
 
 def fd_gradient(loss_fn, variables, eps: float = 1e-6):
@@ -130,3 +144,83 @@ def composed_reaction(u, u0, weights, h, state=None, train=False):
     if state is not None:
         pre = taped_batch_norm(pre, *weights[6:], state, train)
     return ad.add(u, taped_scale(ad.relu(pre), h))
+
+
+def taped_subtract(a, b):
+    """``a - b`` as its own record (the ``ad.subtract`` the fused ops replaced)."""
+    a, b = ad._as_variable(a), ad._as_variable(b)
+    try:
+        out = a.value - b.value
+    except ValueError:
+        raise ValueError(f"subtract: shapes {a.value.shape} and {b.value.shape} do not broadcast")
+    ash, bsh = a.value.shape, b.value.shape
+
+    def bwd(g):
+        return ad._unbroadcast(g, ash), ad._unbroadcast(-g, bsh)
+
+    return ad._emit(out, (a, b), bwd)
+
+
+def _apply_operator(op, x: np.ndarray) -> np.ndarray:
+    """``op @ x``; an int ndarray ``op`` stands for the 0/1 selector whose
+    row i picks row ``op[i]`` of ``x``, and is applied as that row gather."""
+    if isinstance(op, np.ndarray):
+        return np.take(x, op, axis=0)
+    return op @ x
+
+
+def taped_operator(matrix, matrix_t, x):
+    """A constant linear operator (edge gathers and scatters) as its own
+    record; the backward rule applies the supplied transpose. Either operand
+    may be an int row index, the compact form of a 0/1 row selector."""
+    x = ad._as_variable(x)
+
+    def bwd(g):
+        return (_apply_operator(matrix_t, g),)
+
+    return ad._emit(_apply_operator(matrix, x.value), (x,), bwd)
+
+
+def taped_segment_softmax(values, source_index, scatter, max_plan):
+    """Channel-wise softmax over each source node's contiguous edge block,
+    as its own record with the softmax rule that ``ad.advection`` inlines.
+
+    ``source_index`` holds each row's segment id, sorted non-decreasing (the
+    graph's directed-edge order); ``scatter`` is the constant node-by-edge
+    sum matrix and ``max_plan`` the tree-reduction plan over the same
+    blocks (:attr:`Graph.scatter_src`, :attr:`Graph.max_plan`).
+    """
+    values = ad._as_variable(values)
+    expand_sum = lambda x: np.take(scatter @ x, source_index, axis=0)
+    # shift, exponentiate and normalize in the buffer that holds the maxima
+    y = ad._segment_max_rows(values.value, max_plan)
+    np.subtract(values.value, y, out=y)
+    np.exp(y, out=y)
+    y /= expand_sum(y)
+
+    def bwd(g):
+        return (y * (g - expand_sum(y * g)),)
+
+    return ad._emit(y, (values,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# dense oracle of the advection step
+
+# largest graph advection_matrix densifies
+DENSE_LIMIT = 200
+
+
+def advection_matrix(g, v, h: float, channel: int) -> np.ndarray:
+    """Dense one-channel transport matrix A with A @ u = advect(u).
+
+    A = (1-h) I + h M with M[dst, src] = v[src->dst]; isolated nodes get
+    A_ii = 1. Column stochastic and nonnegative for h in (0, 1].
+    """
+    if g.n_nodes > DENSE_LIMIT:
+        raise ValueError(f"advection_matrix: n={g.n_nodes} exceeds dense limit {DENSE_LIMIT}")
+    vals = v.values.value[:, channel]
+    m = np.zeros((g.n_nodes, g.n_nodes))
+    np.add.at(m, (g.edge_dst, g.edge_src), vals)
+    diag = np.where(g.isolated, 1.0, 1.0 - h)
+    return np.diag(diag) + h * m

@@ -22,13 +22,12 @@ from adrgnn.data import (load_graph_dataset, load_temporal_dataset,
 from adrgnn.gradcheck import run_all_checks
 from adrgnn.graph import dirichlet_energy, erdos_renyi, laplacian_apply
 from adrgnn.operators import (AdvectionParams, DiffusionParams, EdgeVelocities,
-                              advect, advection_matrix, diffuse, edge_velocities,
-                              splitting_error_study)
+                              advect, diffuse, edge_velocities, splitting_error_study)
 from adrgnn.runtime import philox
 from adrgnn.training import (GROUPS, TrainConfig, ablation_study, depth_energy_study,
                              run_splits, train_temporal, transport_fit)
 
-from conftest import laplacian_dense, prenorm_orientations, random_velocities
+from conftest import advection_matrix, laplacian_dense, prenorm_orientations, random_velocities
 
 DATA_DIR = Path(os.environ.get("ADRGNN_DATA", Path(__file__).resolve().parent.parent / "data"))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

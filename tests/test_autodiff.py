@@ -14,7 +14,7 @@ from adrgnn.models import AdrGnnStatic
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
 from conftest import (ad_gradient, check_grads, composed_reaction, fd_gradient, max_rel_err,
-                      taped_scale)
+                      taped_operator, taped_scale, taped_subtract)
 
 
 def weighted_sum(out, seed=0):
@@ -50,10 +50,9 @@ class TestForwardValues:
 
     def test_segment_softmax_uniform(self):
         g = build_graph([(0, 1), (0, 2), (0, 3)], 4)
-        out = ad.segment_softmax(Variable(np.zeros((g.n_edges, 2))), g.edge_src,
-                                 g.scatter_src, g.max_plan)
+        out = ad.segment_softmax(np.zeros((g.n_edges, 2)), g)
         want = 1.0 / g.degree[g.edge_src]
-        np.testing.assert_allclose(out.value, np.repeat(want[:, None], 2, axis=1))
+        np.testing.assert_allclose(out, np.repeat(want[:, None], 2, axis=1))
 
     def test_hardtanh_clamps(self):
         x = Variable(np.array([-0.5, 0.3, 1.7]))
@@ -95,7 +94,7 @@ class TestForwardValues:
         a = Variable(gen.standard_normal((4, 2)))
         b = Variable(gen.standard_normal((4, 3)))
         cat = ad.concat_columns([a, b])
-        np.testing.assert_array_equal(ad.slice_columns(cat, 2, 5).value, b.value)
+        np.testing.assert_array_equal(cat.value[:, 2:5], b.value)
 
 
 class TestBackwardSemantics:
@@ -328,13 +327,13 @@ class TestGradientsAgainstFiniteDifferences:
         b = Variable(gen.standard_normal(3), requires_grad=True)
         check_grads(lambda: weighted_sum(ad.add(x, b)), [x, b], self.TOL)
 
-    def test_subtract_hadamard_scale(self):
+    def test_hadamard_and_scale(self):
         gen = philox(2)
         x = Variable(gen.standard_normal((3, 3)), requires_grad=True)
         y = Variable(gen.standard_normal((3, 3)), requires_grad=True)
 
         def loss():
-            return weighted_sum(ad.hadamard(ad.hadamard(ad.subtract(x, y), x), 0.7))
+            return weighted_sum(ad.hadamard(ad.hadamard(ad.add(x, y), x), 0.7))
 
         check_grads(loss, [x, y], self.TOL)
 
@@ -348,30 +347,33 @@ class TestGradientsAgainstFiniteDifferences:
         x = Variable(philox(4).standard_normal((5, 3)), requires_grad=True)
         check_grads(lambda: weighted_sum(ad.dropout(x, 0.4, 99)), [x], self.TOL)
 
-    def test_gather_scatter_softmax(self):
+    def test_constant_operator_products(self):
+        """Sparse operators with their transposes (a CSC view, as of the CSR
+        input features, and the symmetric GCN adjacency) and a dense one,
+        which is a matrix, not a row index."""
         g = erdos_renyi(6, 0.6, seed=5)
         gen = philox(6)
         x = Variable(gen.standard_normal((6, 2)), requires_grad=True)
         e = Variable(gen.standard_normal((g.n_edges, 2)), requires_grad=True)
-        for index, scatter in ((g.edge_src, g.scatter_src), (g.edge_dst, g.scatter_dst)):
-            check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(index, scatter, x), 4),
+        dense = gen.standard_normal((4, 6))
+        for scatter in (g.scatter_src, g.scatter_dst):
+            check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(scatter.T, scatter, x), 4),
                         [x], self.TOL)
-            check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(scatter, index, e), 5),
+            check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(scatter, scatter.T, e), 5),
                         [e], self.TOL)
-        check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, e), 7),
-                    [e], self.TOL)
-        check_grads(lambda: weighted_sum(
-            ad.segment_softmax(e, g.edge_src, g.scatter_src, g.max_plan), 6), [e], self.TOL)
+        a_hat = g.gcn_adjacency
+        check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(a_hat, a_hat, x), 7),
+                    [x], self.TOL)
+        np.testing.assert_array_equal(ad.fixed_sparse_matmul(dense, dense.T, x).value,
+                                      dense @ x.value)
+        check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(dense, dense.T, x), 6),
+                    [x], self.TOL)
 
-    def test_concat_slice(self):
+    def test_concat_columns(self):
         gen = philox(7)
         a = Variable(gen.standard_normal((3, 2)), requires_grad=True)
         b = Variable(gen.standard_normal((3, 2)), requires_grad=True)
-
-        def loss():
-            return weighted_sum(ad.slice_columns(ad.concat_columns([a, b]), 1, 4), 7)
-
-        check_grads(loss, [a, b], self.TOL)
+        check_grads(lambda: weighted_sum(ad.concat_columns([a, b]), 7), [a, b], self.TOL)
 
     def test_batch_norm_train_and_eval(self):
         """The reaction step with batch norm, whose rule holds its gradient."""
@@ -518,8 +520,7 @@ class TestSegmentSoftmaxExact:
         want_max, want_soft = _reference_segment_softmax(values, g.out_indptr)
 
         assert np.array_equal(ad._segment_max_rows(values, g.max_plan), want_max)
-        soft = ad.segment_softmax(Variable(values), g.edge_src, g.scatter_src, g.max_plan)
-        assert np.array_equal(soft.value, want_soft)
+        assert np.array_equal(ad.segment_softmax(values, g), want_soft)
 
     def test_plan_covers_every_row_once_per_block(self):
         g = _segment_graphs()["star_hub_1200"]
@@ -614,11 +615,11 @@ class TestWeightedTransport:
                     if fused:
                         y = ad.advection(x, w.value, 0.6, g)
                     else:
-                        x_src = ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, x)
-                        inbound = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst,
-                                                         ad.hadamard(w, x_src))
+                        x_src = taped_operator(g.edge_src, g.scatter_src, x)
+                        inbound = taped_operator(g.scatter_dst, g.edge_dst,
+                                                 ad.hadamard(w, x_src))
                         y = ad.add(x, taped_scale(
-                            ad.subtract(inbound, ad.hadamard(x, keep)), 0.6))
+                            taped_subtract(inbound, ad.hadamard(x, keep)), 0.6))
                     loss = ad.total_sum(ad.hadamard(y, upstream))
                 backward(tape, loss)
                 results.append((y.value, x.grad, len(tape.records)))

@@ -420,6 +420,53 @@ class TestUsageErrors:
         assert code == 2
         assert "epochs must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "energy", "ablate"])
+    def test_hidden_width_zero_exits_2_naming_it(self, command, toy_dataset, tmp_path, capsys):
+        code = main([command, "--dataset", str(toy_dataset), "--out", str(tmp_path / "run"),
+                     "--config", str(fast_config(tmp_path)), "--hidden", "0"])
+        assert code == 2
+        assert "hidden=0 must be >= 1" in capsys.readouterr().err
+
+    def test_temporal_hidden_width_zero_exits_2_naming_it(self, toy_temporal, tmp_path,
+                                                          capsys):
+        code = main(["train", "--dataset", str(toy_temporal), "--out", str(tmp_path / "run"),
+                     "--loss", "mse", "--hidden", "0"])
+        assert code == 2
+        assert "hidden=0 must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, named", [("--channels", "channels=0"),
+                                             ("--sources", "n_sources=0")])
+    def test_transport_size_zero_exits_2_naming_it(self, flag, named, tmp_path, capsys):
+        code = main(["transport", "--terms", "A", "--epochs", "2", flag, "0",
+                     "--out", str(tmp_path / "transport")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"momentum": 0.9}, "unknown key 'momentum'"),
+        ({"layers": "x"}, "layers must be an integer, got 'x'"),
+        ({"hidden": None}, "hidden must be an integer, got None"),
+        ({"h": None}, "h must be a number, got None"),
+        ({"hidden": 0}, "hidden=0 must be >= 1"),
+    ])
+    def test_bad_checkpoint_config_exits_2_naming_the_key(self, edit, named, toy_dataset,
+                                                         tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(toy_dataset), "--out", str(run),
+                     "--config", str(fast_config(tmp_path)), "--epochs", "2",
+                     "--splits", "1"]) == 0
+        with np.load(run / "checkpoint.bin") as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        config = json.loads(bytes(arrays["__config__"]).decode())
+        config.update(edit)
+        arrays["__config__"] = np.frombuffer(json.dumps(config).encode(), dtype=np.uint8)
+        with open(run / "edited.bin", "wb") as fh:
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "edited.bin"),
+                     "--dataset", str(toy_dataset)]) == 2
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("split", ["2", "-1"])
     def test_split_index_outside_the_bundle_exits_2(self, split, toy_dataset, tmp_path,
                                                     capsys):

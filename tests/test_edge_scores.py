@@ -16,7 +16,8 @@ from adrgnn.operators import (AdrLayerParams, AdvectionParams, adr_layer, advect
                               react)
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
-from conftest import prenorm_orientations, taped_scale
+from conftest import (prenorm_orientations, taped_operator, taped_scale, taped_segment_softmax,
+                      taped_subtract)
 
 
 def _graphs():
@@ -32,11 +33,11 @@ def _graphs():
 def _reference_edge_scores(g, u, a1, a2, w3, w4):
     """The eleven-record composition: the a1 and a2 maps, gathers, add,
     ReLU, a3, reverse gather, subtract, ReLU, a4."""
-    edge_pre = ad.add(ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, a1(u)),
-                      ad.fixed_sparse_matmul(g.edge_dst, g.scatter_dst, a2(u)))
+    edge_pre = ad.add(taped_operator(g.edge_src, g.scatter_src, a1(u)),
+                      taped_operator(g.edge_dst, g.scatter_dst, a2(u)))
     z = ad.matmul(ad.relu(edge_pre), w3)
-    z_rev = ad.fixed_sparse_matmul(g.rev_edge, g.rev_edge, z)
-    return ad.matmul(ad.relu(ad.subtract(z, z_rev)), w4), (z, z_rev)
+    z_rev = taped_operator(g.rev_edge, g.rev_edge, z)
+    return ad.matmul(ad.relu(taped_subtract(z, z_rev)), w4), (z, z_rev)
 
 
 def _reference_edge_velocities(g, u, params, return_prenorm=False):
@@ -44,19 +45,19 @@ def _reference_edge_velocities(g, u, params, return_prenorm=False):
     u = ad._as_variable(u)
     pre, (z, z_rev) = _reference_edge_scores(g, u, params.a1, params.a2, params.a3.w,
                                              params.a4.w)
-    v = ad.segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan)
+    v = taped_segment_softmax(pre, g.edge_src, g.scatter_src, g.max_plan)
     if return_prenorm:
-        return v, ad.relu(ad.subtract(z, z_rev)), ad.relu(ad.subtract(z_rev, z))
+        return v, ad.relu(taped_subtract(z, z_rev)), ad.relu(taped_subtract(z_rev, z))
     return v
 
 
 def _reference_advect(g, u, velocities, h):
     """The transport as gather, hadamard and scatter records, then the
     outflow hadamard, subtract, scale and add records."""
-    inbound = ad.fixed_sparse_matmul(g.scatter_dst, g.edge_dst, ad.hadamard(
-        velocities, ad.fixed_sparse_matmul(g.edge_src, g.scatter_src, u)))
+    inbound = taped_operator(g.scatter_dst, g.edge_dst, ad.hadamard(
+        velocities, taped_operator(g.edge_src, g.scatter_src, u)))
     outflow = ad.hadamard(u, (~g.isolated).astype(float)[:, None])
-    return ad.add(u, taped_scale(ad.subtract(inbound, outflow), h))
+    return ad.add(u, taped_scale(taped_subtract(inbound, outflow), h))
 
 
 def _reference_layer(g, u, u0, params, h, velocity_features=None):

@@ -13,7 +13,7 @@ from conftest import laplacian_dense
 
 class TestBuildGraph:
     def test_symmetrize_single_edge(self):
-        g = build_graph([(0, 1)], 2, symmetrize=True)
+        g = build_graph([(0, 1)], 2)
         assert g.n_edges == 2
         assert set(zip(g.edge_src, g.edge_dst)) == {(0, 1), (1, 0)}
         assert g.degree.tolist() == [1, 1]
@@ -37,9 +37,9 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=r"\(0, 5\)"):
             build_graph([(0, 5)], 3)
 
-    def test_asymmetric_input_rejected_without_symmetrize(self):
+    def test_graph_rejects_edges_not_closed_under_reversal(self):
         with pytest.raises(ValueError, match="reversal"):
-            build_graph([(0, 1)], 2, symmetrize=False)
+            Graph(3, np.array([0, 1]), np.array([1, 2]))
 
     def test_reversal_closure(self):
         g = erdos_renyi(20, 0.3, seed=5)

@@ -10,9 +10,8 @@ import adrgnn.autodiff as ad
 from adrgnn.autodiff import Variable
 from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.models import (AdrGnnStatic, AdrGnnTemporal, GcnBaseline,
-                           broadcast_time_embedding, build_model, count_parameters,
-                           load_checkpoint, save_checkpoint, time_embedding,
-                           time_embedding_table)
+                           broadcast_time_embedding, build_model, load_checkpoint,
+                           save_checkpoint, time_embedding, time_embedding_table)
 from adrgnn.operators import advect, diffuse, edge_velocities, react
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 from adrgnn.training import GROUPS, AdamW, train_step
@@ -37,7 +36,7 @@ def small_model(kind: str, use_batchnorm: bool = False):
 def relabel(graph, perm):
     """Graph with node i renamed perm[i]."""
     edges = np.stack([perm[graph.edge_src], perm[graph.edge_dst]], axis=1)
-    return build_graph(edges, graph.n_nodes, symmetrize=False)
+    return build_graph(edges, graph.n_nodes)
 
 
 class TestStaticForward:
@@ -669,6 +668,24 @@ class TestCheckpoint:
     def test_build_model_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             build_model({"kind": "mystery", "c_in": 1, "c_out": 1, "hidden": 2, "layers": 1})
+
+    def test_build_model_names_a_missing_key(self):
+        with pytest.raises(ValueError, match=r"static model config: missing keys \['h'\]"):
+            build_model({"kind": "static", "c_in": 1, "c_out": 1, "hidden": 2, "layers": 1})
+
+    @pytest.mark.parametrize("kind, sizes", [
+        ("static", {"h": 0.5}), ("gcn", {}),
+        ("temporal", {"h": 0.5, "tau_in": 2, "tau_out": 1})])
+    @pytest.mark.parametrize("size", ["c_in", "c_out", "hidden", "layers"])
+    def test_every_kind_rejects_a_size_below_one(self, kind, sizes, size):
+        config = {"kind": kind, "c_in": 2, "c_out": 2, "hidden": 2, "layers": 1, **sizes}
+        build_model(config)
+        with pytest.raises(ValueError, match=f"{size}=0 must be >= 1"):
+            build_model({**config, size: 0})
+
+
+def count_parameters(model) -> int:
+    return sum(v.value.size for v in model.named_parameters().values())
 
 
 def static_parameter_count(c_in: int, c_out: int, hidden: int, layers: int,

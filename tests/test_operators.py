@@ -10,11 +10,11 @@ from adrgnn.autodiff import Tape, Variable, backward
 from adrgnn.graph import build_graph, dirichlet_energy, erdos_renyi
 from adrgnn.operators import (AdrLayerParams, AdvectionParams, DiffusionParams,
                               EdgeVelocities, ReactionParams, adr_layer, advect,
-                              advection_matrix, diffuse, edge_velocities, react,
-                              splitting_error_study)
+                              diffuse, edge_velocities, react, splitting_error_study)
 from adrgnn.runtime import philox
 
-from conftest import check_grads, prenorm_orientations, random_velocities
+from conftest import (advection_matrix, check_grads, prenorm_orientations, random_velocities,
+                      taped_subtract)
 
 
 def make_velocities(graph, c, seed):
@@ -64,7 +64,7 @@ class TestEdgeVelocities:
 def divergence(g, v, u):
     """The transport term DIV(v, u) of ``advect``, as its step at h = 1
     minus u."""
-    return ad.subtract(advect(g, u, v, 1.0), u)
+    return taped_subtract(advect(g, u, v, 1.0), u)
 
 
 class TestDivergence:

@@ -25,6 +25,8 @@ from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, Traini
                              transport_fit)
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
+from conftest import bag_of_words_bundle
+
 
 def flat_cfg(**kwargs) -> TrainConfig:
     base = dict(
@@ -640,22 +642,9 @@ class TestOneForwardPerEpoch:
         assert evaluate(result.model, bundle, 0, "val") == result.val_metrics
 
 
-def _bag_of_words_bundle(seed=0, n=1100, vocab=1000) -> DatasetBundle:
-    """Over 2^20 feature entries, about 1% nonzero: the CSR input path."""
-    gen = philox(seed)
-    labels = gen.integers(0, 3, n)
-    on_topic = labels[:, None] * 50 + gen.integers(0, 50, (n, 10))
-    words = np.where(gen.random((n, 10)) < 0.6, on_topic, gen.integers(0, vocab, (n, 10)))
-    features = np.zeros((n, vocab))
-    features[np.arange(n)[:, None], words] = 1.0
-    splits = generate_splits(n, k=1, seed=seed, labels=labels, stratified=True)
-    return DatasetBundle(graph=erdos_renyi(n, 4.0 / n, seed=seed), features=features,
-                         labels=labels, splits=splits, name="bag-of-words")
-
-
 class TestSparseInput:
     def test_bag_of_words_bundle_builds_its_csr_once(self):
-        bundle = _bag_of_words_bundle()
+        bundle = bag_of_words_bundle()
         sparse = bundle.sparse_features()
         assert isinstance(sparse, SparseFeatures)
         assert bundle.sparse_features() is sparse
@@ -671,7 +660,7 @@ class TestSparseInput:
         assert model_input(_static_model(bundle, flat_cfg()), bundle) is bundle.features
 
     def test_evaluate_scores_what_training_scored(self, monkeypatch):
-        bundle = _bag_of_words_bundle()
+        bundle = bag_of_words_bundle()
         result = train_node_classification(bundle, flat_cfg(epochs=3, dropout_io=0.2))
         forward, inputs = AdrGnnStatic.forward, []
 
@@ -685,7 +674,7 @@ class TestSparseInput:
         assert all(x is bundle.sparse_features() for x in inputs) and len(inputs) == 2
 
     def test_cached_input_follows_the_working_dtype(self):
-        bundle = _bag_of_words_bundle()
+        bundle = bag_of_words_bundle()
         assert bundle.sparse_features().csr.dtype == np.float64
         previous = default_dtype().name
         set_default_dtype("float32")
