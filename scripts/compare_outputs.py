@@ -8,13 +8,19 @@ input generators (``cora_inputs`` and ``chickenpox_inputs`` in
 ``perfbench/workloads.py`` of the checkout this script sits in, imported
 read-only): a Cora-scale bag-of-words bundle, which trains on the CSR input
 path, and a chickenpox-like temporal series. Then it runs
-``python -m adrgnn.cli train`` from each checkout, with ``PYTHONPATH`` set to
-that checkout's ``src`` and one OpenBLAS thread, for each case: the
-checkout's ``configs/cora.json`` and ``configs/chameleon.json`` (batch norm)
-on the bundle and ``configs/chickenpox.json`` on the series, each for
-``--epochs`` epochs and one split, in float64 and with
-``ADRGNN_DTYPE=float32``. It compares ``metrics.csv``, ``metrics.jsonl``
-and ``checkpoint.bin`` of every run byte for byte, prints one line per
+``python -m adrgnn.cli`` from each checkout, with ``PYTHONPATH`` set to that
+checkout's ``src`` and one OpenBLAS thread, for each case, in float64 and
+with ``ADRGNN_DTYPE=float32``:
+
+- ``train`` with the checkout's ``configs/cora.json`` and
+  ``configs/chameleon.json`` (batch norm) on the bundle and
+  ``configs/chickenpox.json`` on the series, for one split;
+- ``energy --depths 2`` with ``configs/cora.json`` on the bundle, which also
+  trains the GCN baseline (the bias-free constant-operator product).
+
+Every run takes ``--epochs`` epochs. The script compares ``metrics.csv``,
+``metrics.jsonl`` and ``checkpoint.bin`` of every ``train`` run and
+``energy.csv`` of every ``energy`` run byte for byte, prints one line per
 file, and exits 1 on any difference or failed run.
 """
 
@@ -28,10 +34,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# (config, dataset) pairs; a dataset name keys the containers of build_inputs
-CASES = (("cora", "cora"), ("chameleon", "cora"), ("chickenpox", "chickenpox"))
+# (command, config, dataset); a dataset name keys the containers of build_inputs
+CASES = (("train", "cora", "cora"), ("train", "chameleon", "cora"),
+         ("train", "chickenpox", "chickenpox"), ("energy", "cora", "cora"))
 DTYPES = ("float64", "float32")
-OUTPUTS = ("metrics.csv", "metrics.jsonl", "checkpoint.bin")
+# each command's compared outputs and its options beyond the shared ones
+OUTPUTS = {"train": ("metrics.csv", "metrics.jsonl", "checkpoint.bin"),
+           "energy": ("energy.csv",)}
+OPTIONS = {"train": ("--splits", "1"), "energy": ("--depths", "2")}
 # variables that would change what a run computes, set per run below
 RUN_VARIABLES = ("ADRGNN_DTYPE", "ADRGNN_THREADS", "OMP_NUM_THREADS",
                  "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "PYTHONPATH")
@@ -49,17 +59,17 @@ def build_inputs(work: Path, seed: int) -> dict[str, Path]:
                                         work / "chickenpox")}
 
 
-def train(checkout: Path, config: str, dataset: Path, dtype: str, epochs: int,
-          out: Path) -> subprocess.CompletedProcess:
-    """One ``adrgnn train`` run of ``checkout`` with its own ``config``."""
+def run(checkout: Path, command: str, config: str, dataset: Path, dtype: str, epochs: int,
+        out: Path) -> subprocess.CompletedProcess:
+    """One ``adrgnn <command>`` run of ``checkout`` with its own ``config``."""
     env = {k: v for k, v in os.environ.items() if k not in RUN_VARIABLES}
     env.update(PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
     if dtype != "float64":
         env["ADRGNN_DTYPE"] = dtype
-    command = [sys.executable, "-m", "adrgnn.cli", "train", "--dataset", str(dataset),
-               "--out", str(out), "--config", str(checkout / "configs" / f"{config}.json"),
-               "--epochs", str(epochs), "--splits", "1"]
-    return subprocess.run(command, env=env, cwd=checkout, capture_output=True, text=True)
+    argv = [sys.executable, "-m", "adrgnn.cli", command, "--dataset", str(dataset),
+            "--out", str(out), "--config", str(checkout / "configs" / f"{config}.json"),
+            "--epochs", str(epochs), *OPTIONS[command]]
+    return subprocess.run(argv, env=env, cwd=checkout, capture_output=True, text=True)
 
 
 def compare(parent: Path, change: Path, datasets: dict[str, Path], epochs: int,
@@ -68,17 +78,18 @@ def compare(parent: Path, change: Path, datasets: dict[str, Path], epochs: int,
     print one line per output file and return the failures: each differing
     or missing file and each failed run."""
     failures = []
-    for config, dataset in cases:
+    for command, config, dataset in cases:
         for dtype in dtypes:
-            case = f"{config}-{dtype}"
+            case = f"{config}-{dtype}" if command == "train" else f"{command}-{config}-{dtype}"
             runs = {}
             for side, checkout in (("parent", parent), ("change", change)):
                 runs[side] = work / side / case
-                done = train(checkout, config, datasets[dataset], dtype, epochs, runs[side])
+                done = run(checkout, command, config, datasets[dataset], dtype, epochs,
+                           runs[side])
                 if done.returncode != 0:
                     failures.append(f"{case}: the {side} run exited {done.returncode}")
                     print(f"{case}: {side} run failed\n{done.stderr}", file=sys.stderr)
-            for name in OUTPUTS:
+            for name in OUTPUTS[command]:
                 a, b = runs["parent"] / name, runs["change"] / name
                 same = a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
                 print(f"{case:24} {name:16} {'identical' if same else 'DIFFERENT'}")

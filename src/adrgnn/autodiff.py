@@ -11,17 +11,17 @@ one slot per input and the backward rule. An intermediate's value is
 therefore freed as soon as neither the caller nor a backward rule holds it,
 instead of living until backward ends.
 
-The taped primitives are the ops that training records: ``matmul`` (with
-an optional fused bias), ``add``, ``relu``, ``hardtanh``, ``dropout``,
-``concat_columns``, ``fixed_sparse_matmul`` (a product with a constant
-operator: sparse features, the GCN adjacency), the losses
+The taped primitives are exactly the ops that training records:
+``matmul`` and ``fixed_sparse_matmul`` (a product with a constant operator:
+sparse features, the GCN adjacency), each with an optional fused bias,
+``relu``, ``hardtanh``, ``dropout``, ``concat_columns``, the losses
 ``cross_entropy``, ``mse`` and ``mae``, ``advection`` (one Euler transport
 step, which recomputes its edge velocities in backward), ``reaction`` (one
 reaction step, which recomputes its tanh) and ``cg_solve`` (the diffusion
-solve as a fixed Chebyshev series with an exact backward rule), plus
-``hadamard`` and ``total_sum``, which reduce an output to the scalar that
-the gradient checks differentiate. ``segment_softmax`` and the edge helpers
-are untaped: the advection op computes the velocities with them.
+solve as a fixed Chebyshev series with an exact backward rule). Apart from
+the shape-checked row-vector biases, no taped op broadcasts its inputs.
+``segment_softmax`` and the edge helpers are untaped: the advection op
+computes the velocities with them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .runtime import default_dtype, philox
+from .runtime import default_dtype
 
 
 class Variable:
@@ -226,18 +226,6 @@ def _segment_max_rows(values: np.ndarray, plan: tuple) -> np.ndarray:
     return np.take(work, head, axis=0)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -269,34 +257,6 @@ def _affine(u: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def add(a, b) -> Variable:
-    a, b = _as_variable(a), _as_variable(b)
-    try:
-        out = a.value + b.value
-    except ValueError:
-        raise ValueError(f"add: shapes {a.value.shape} and {b.value.shape} do not broadcast")
-    ash, bsh = a.value.shape, b.value.shape
-
-    def bwd(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
-
-    return _emit(out, (a, b), bwd)
-
-
-def hadamard(a, b) -> Variable:
-    a, b = _as_variable(a), _as_variable(b)
-    try:
-        out = a.value * b.value
-    except ValueError:
-        raise ValueError(f"hadamard: shapes {a.value.shape} and {b.value.shape} do not broadcast")
-    av, bv = a.value, b.value
-
-    def bwd(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
-
-    return _emit(out, (a, b), bwd)
-
-
 def relu(x) -> Variable:
     x = _as_variable(x)
     mask = x.value > 0  # derivative at 0 is 0
@@ -320,17 +280,15 @@ def hardtanh(x, lo: float, hi: float) -> Variable:
     return _emit(np.clip(x.value, lo, hi), (x,), bwd)
 
 
-def dropout(x, p: float, rng) -> Variable:
-    """Inverted dropout: retained entries scaled by 1/(1-p); the identity at
-    p = 0. ``rng`` is an integer seed or a Generator. Evaluation-mode
-    forwards do not call it (see ``models._dropout``)."""
+def dropout(x, p: float, rng: np.random.Generator) -> Variable:
+    """Inverted dropout: retained entries scaled by 1/(1-p), with the mask
+    drawn from ``rng``; the identity at p = 0. Evaluation-mode forwards do
+    not call it (see ``models._dropout``)."""
     x = _as_variable(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p={p} outside [0, 1)")
     if p == 0.0:
         return x
-    if not isinstance(rng, np.random.Generator):
-        rng = philox(int(rng))
     scale = 1.0 / (1.0 - p)
     # a boolean mask, scaled at use: an eighth of a float64 mask's bytes,
     # and the products keep the input's dtype
@@ -371,15 +329,27 @@ def segment_softmax(values: np.ndarray, graph) -> np.ndarray:
     return y
 
 
-def fixed_sparse_matmul(matrix, matrix_t, x) -> Variable:
+def fixed_sparse_matmul(matrix, matrix_t, x, bias=None) -> Variable:
     """``matrix @ x`` for a constant linear operator (sparse features, the
-    GCN adjacency); the backward rule applies the supplied transpose."""
+    GCN adjacency), plus the row vector ``bias`` if given, as one op; the
+    backward rule applies the supplied transpose."""
     x = _as_variable(x)
+    if bias is None:
+        def bwd(g):
+            return (matrix_t @ g,)
 
-    def bwd(g):
-        return (matrix_t @ g,)
+        return _emit(matrix @ x.value, (x,), bwd)
+    bias = _as_variable(bias)
+    if bias.value.shape != (x.value.shape[1],):
+        raise ValueError(f"fixed_sparse_matmul: bias of shape {bias.value.shape} "
+                         f"for {x.value.shape[1]} columns")
 
-    return _emit(matrix @ x.value, (x,), bwd)
+    def bwd_bias(g):
+        return matrix_t @ g, g.sum(axis=0)
+
+    out = matrix @ x.value
+    out += bias.value
+    return _emit(out, (x, bias), bwd_bias)
 
 
 def edge_hidden(a1u: np.ndarray, a2u: np.ndarray, src: np.ndarray, dst: np.ndarray):
@@ -452,16 +422,6 @@ def advection(u, velocities: np.ndarray, h: float, graph, source: Sequence = ())
                 fv.T @ g2, g2.sum(axis=0), g_w3, g_w4)
 
     return _emit(out, (u, u, u, source[0], *source), bwd)
-
-
-def total_sum(x) -> Variable:
-    x = _as_variable(x)
-    shape = x.value.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g, shape).astype(g.dtype),)
-
-    return _emit(np.asarray(x.value.sum()), (x,), bwd)
 
 
 @dataclass
@@ -548,20 +508,14 @@ def reaction(u, u0, weights: Sequence, h: float, state: Optional[BatchNormState]
 # ---------------------------------------------------------------------------
 # losses
 
-def _row_mask(mask, n: int) -> np.ndarray:
-    if mask is None:
-        return np.ones(n, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise ValueError(f"mask shape {mask.shape} does not match n={n}")
-    return mask
-
-
 def cross_entropy(logits, labels, mask=None) -> Variable:
     """Mean softmax cross-entropy over masked rows; labels are class ids."""
     logits = _as_variable(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    m = _row_mask(mask, logits.value.shape[0])
+    n = logits.value.shape[0]
+    m = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if m.shape != (n,):
+        raise ValueError(f"mask shape {m.shape} does not match n={n}")
     rows = np.flatnonzero(m)
     if len(rows) == 0:
         raise ValueError("cross_entropy: mask selects no rows")
@@ -583,40 +537,26 @@ def cross_entropy(logits, labels, mask=None) -> Variable:
     return _emit(np.asarray(loss, dtype=z.dtype), (logits,), bwd)
 
 
-def mse(pred, target, mask=None) -> Variable:
-    """Mean squared error over masked rows (all channels)."""
+def mse(pred, target) -> Variable:
+    """Mean squared error over all entries."""
     pred = _as_variable(pred)
-    target = np.asarray(target, dtype=pred.value.dtype)
-    m = _row_mask(mask, pred.value.shape[0])
-    diff = (pred.value - target)[m]
+    diff = pred.value - np.asarray(target, dtype=pred.value.dtype)
     count = diff.size
-    if count == 0:
-        raise ValueError("mse: mask selects no rows")
-    shape = pred.value.shape
 
     def bwd(g):
-        full = np.zeros(shape, dtype=diff.dtype)
-        full[m] = 2.0 * diff / count
-        return (full * g,)
+        return (2.0 * diff / count * g,)
 
     return _emit(np.asarray((diff * diff).mean(), dtype=diff.dtype), (pred,), bwd)
 
 
-def mae(pred, target, mask=None) -> Variable:
-    """Mean absolute error over masked rows; subgradient 0 at exact zeros."""
+def mae(pred, target) -> Variable:
+    """Mean absolute error over all entries; subgradient 0 at exact zeros."""
     pred = _as_variable(pred)
-    target = np.asarray(target, dtype=pred.value.dtype)
-    m = _row_mask(mask, pred.value.shape[0])
-    diff = (pred.value - target)[m]
+    diff = pred.value - np.asarray(target, dtype=pred.value.dtype)
     count = diff.size
-    if count == 0:
-        raise ValueError("mae: mask selects no rows")
-    shape = pred.value.shape
 
     def bwd(g):
-        full = np.zeros(shape, dtype=diff.dtype)
-        full[m] = np.sign(diff) / count
-        return (full * g,)
+        return (np.sign(diff) / count * g,)
 
     return _emit(np.asarray(np.abs(diff).mean(), dtype=diff.dtype), (pred,), bwd)
 

@@ -92,8 +92,7 @@ def _input_linear(x, lin: Linear, p_io: float, rng) -> Variable:
     if not isinstance(x, SparseFeatures):
         return lin(x)
     # the CSC view csr.T is the backward operand: no transpose is built
-    y = ad.fixed_sparse_matmul(x.csr, x.csr.T, lin.w)
-    return ad.add(y, lin.b) if lin.b is not None else y
+    return ad.fixed_sparse_matmul(x.csr, x.csr.T, lin.w, lin.b)
 
 
 # ---------------------------------------------------------------------------

@@ -592,7 +592,7 @@ def transport_fit(task: TransportTask, terms: str, layers: int = 4, h: float = 1
     channels diverge after one step and break those ties. Diffusion runs at
     the layer's default series degree, as in training.
     """
-    check_sizes("transport_fit", channels=channels)
+    check_sizes("transport_fit", layers=layers, channels=channels)
     g = task.graph
     stream = SeedStream(seed)
     layer_params = [AdrLayerParams.init(channels, stream.child(), name=f"layers.{l}")

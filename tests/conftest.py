@@ -103,6 +103,63 @@ def prenorm_orientations(g, u, params):
 
 
 # ---------------------------------------------------------------------------
+# broadcasting ops that the tests build losses and oracles from: no shipped
+# path records them
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def taped_add(a, b):
+    """``a + b`` as its own record (the ``ad.add`` the fused bias replaced)."""
+    a, b = ad._as_variable(a), ad._as_variable(b)
+    try:
+        out = a.value + b.value
+    except ValueError:
+        raise ValueError(f"add: shapes {a.value.shape} and {b.value.shape} do not broadcast")
+    ash, bsh = a.value.shape, b.value.shape
+
+    def bwd(g):
+        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+
+    return ad._emit(out, (a, b), bwd)
+
+
+def taped_hadamard(a, b):
+    """``a * b`` as its own record."""
+    a, b = ad._as_variable(a), ad._as_variable(b)
+    try:
+        out = a.value * b.value
+    except ValueError:
+        raise ValueError(f"hadamard: shapes {a.value.shape} and {b.value.shape} do not broadcast")
+    av, bv = a.value, b.value
+
+    def bwd(g):
+        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+
+    return ad._emit(out, (a, b), bwd)
+
+
+def taped_total_sum(x):
+    """The sum of every entry of ``x``, as its own record."""
+    x = ad._as_variable(x)
+    shape = x.value.shape
+
+    def bwd(g):
+        return (np.broadcast_to(g, shape).astype(g.dtype),)
+
+    return ad._emit(np.asarray(x.value.sum()), (x,), bwd)
+
+
+# ---------------------------------------------------------------------------
 # op-by-op oracles of the fused ops: records the fused ops replaced
 
 def taped_scale(x, s: float):
@@ -139,11 +196,12 @@ def composed_reaction(u, u0, weights, h, state=None, train=False):
     replaced: three maps, tanh, hadamard, two adds, [batch norm,] ReLU,
     scale and the skip's add."""
     w1, b1, w2, b2, w3, b3 = weights[:6]
-    pre = ad.add(ad.add(ad.matmul(u, w1, b1), ad.hadamard(taped_tanh(ad.matmul(u, w2, b2)), u)),
-                 ad.matmul(u0, w3, b3))
+    pre = taped_add(taped_add(ad.matmul(u, w1, b1),
+                              taped_hadamard(taped_tanh(ad.matmul(u, w2, b2)), u)),
+                    ad.matmul(u0, w3, b3))
     if state is not None:
         pre = taped_batch_norm(pre, *weights[6:], state, train)
-    return ad.add(u, taped_scale(ad.relu(pre), h))
+    return taped_add(u, taped_scale(ad.relu(pre), h))
 
 
 def taped_subtract(a, b):
@@ -156,7 +214,7 @@ def taped_subtract(a, b):
     ash, bsh = a.value.shape, b.value.shape
 
     def bwd(g):
-        return ad._unbroadcast(g, ash), ad._unbroadcast(-g, bsh)
+        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
 
     return ad._emit(out, (a, b), bwd)
 

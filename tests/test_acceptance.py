@@ -27,7 +27,8 @@ from adrgnn.runtime import philox
 from adrgnn.training import (GROUPS, TrainConfig, ablation_study, depth_energy_study,
                              run_splits, train_temporal, transport_fit)
 
-from conftest import advection_matrix, laplacian_dense, prenorm_orientations, random_velocities
+from conftest import (advection_matrix, laplacian_dense, prenorm_orientations, random_velocities,
+                      taped_hadamard, taped_total_sum)
 
 DATA_DIR = Path(os.environ.get("ADRGNN_DATA", Path(__file__).resolve().parent.parent / "data"))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -169,7 +170,7 @@ class TestPropertyCriteria:
         kappa = Variable(kappa_val, requires_grad=True)
         with Tape() as tape:
             out = ad.cg_solve(lambda x: laplacian_apply(g, x), rhs, kappa, 0.6, iterations=24)
-            loss = ad.total_sum(ad.hadamard(out, Variable(w)))
+            loss = taped_total_sum(taped_hadamard(out, Variable(w)))
         backward(tape, loss)
         adj_err = 0.0
         for c in range(2):

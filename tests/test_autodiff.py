@@ -14,12 +14,13 @@ from adrgnn.models import AdrGnnStatic
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
 from conftest import (ad_gradient, check_grads, composed_reaction, fd_gradient, max_rel_err,
-                      taped_operator, taped_scale, taped_subtract)
+                      taped_add, taped_hadamard, taped_operator, taped_scale, taped_subtract,
+                      taped_total_sum)
 
 
 def weighted_sum(out, seed=0):
     w = Variable(philox(seed).standard_normal(out.value.shape))
-    return ad.total_sum(ad.hadamard(out, w))
+    return taped_total_sum(taped_hadamard(out, w))
 
 
 def _reaction_weights(gen, c: int, batch_norm: bool = False) -> list:
@@ -37,14 +38,14 @@ class TestForwardValues:
     def test_relu_backward_subgradient(self):
         x = Variable(np.array([-1.0, 2.0]), requires_grad=True)
         with Tape() as tape:
-            loss = ad.total_sum(ad.relu(x))
+            loss = taped_total_sum(ad.relu(x))
         backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
     def test_relu_derivative_at_zero_is_zero(self):
         x = Variable(np.array([0.0]), requires_grad=True)
         with Tape() as tape:
-            loss = ad.total_sum(ad.relu(x))
+            loss = taped_total_sum(ad.relu(x))
         backward(tape, loss)
         assert x.grad[0] == 0.0
 
@@ -68,25 +69,25 @@ class TestForwardValues:
 
     def test_dropout_p_range(self):
         with pytest.raises(ValueError, match="dropout"):
-            ad.dropout(Variable(np.zeros(3)), 1.0, 0)
+            ad.dropout(Variable(np.zeros(3)), 1.0, philox(0))
 
     def test_dropout_eval_identity(self):
         # p = 0 is the identity; evaluation forwards never call ad.dropout
         x = Variable(philox(0).standard_normal(100))
-        out = ad.dropout(x, 0.0, 0)
+        out = ad.dropout(x, 0.0, philox(0))
         assert out is x
 
     def test_dropout_inverted_scaling_preserves_mean(self):
         x = Variable(np.ones(200_00))
-        out = ad.dropout(x, 0.25, 42)
+        out = ad.dropout(x, 0.25, philox(42))
         kept = out.value[out.value > 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
         assert abs(out.value.mean() - 1.0) < 0.02
 
     def test_dropout_deterministic_for_seed(self):
         x = Variable(np.ones(50))
-        a = ad.dropout(x, 0.4, 7).value
-        b = ad.dropout(x, 0.4, 7).value
+        a = ad.dropout(x, 0.4, philox(7)).value
+        b = ad.dropout(x, 0.4, philox(7)).value
         np.testing.assert_array_equal(a, b)
 
     def test_concat_and_slice_roundtrip(self):
@@ -98,17 +99,10 @@ class TestForwardValues:
 
 
 class TestBackwardSemantics:
-    def test_sum_gradient_is_ones(self):
-        x = Variable(philox(0).standard_normal((3, 2)), requires_grad=True)
-        with Tape() as tape:
-            loss = ad.total_sum(x)
-        backward(tape, loss)
-        np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
-
     def test_square_gradient(self):
         x = Variable(np.array([3.0]), requires_grad=True)
         with Tape() as tape:
-            loss = ad.total_sum(ad.hadamard(x, x))
+            loss = taped_total_sum(taped_hadamard(x, x))
         backward(tape, loss)
         np.testing.assert_allclose(x.grad, [6.0])
 
@@ -116,7 +110,7 @@ class TestBackwardSemantics:
         x = Variable(np.array([2.0]), requires_grad=True)
         for _ in range(2):
             with Tape() as tape:
-                loss = ad.total_sum(ad.hadamard(x, x))
+                loss = taped_total_sum(taped_hadamard(x, x))
             backward(tape, loss)
         np.testing.assert_allclose(x.grad, [8.0])
         x.zero_grad()
@@ -142,7 +136,7 @@ class TestBackwardSemantics:
         x = Variable(philox(1).standard_normal((5, 3)), requires_grad=True)
         with Tape() as tape:
             y = ad.relu(x)
-            loss = ad.total_sum(ad.dropout(y, 0.5, 7))
+            loss = taped_total_sum(ad.dropout(y, 0.5, philox(7)))
         dropout_rule = tape.records[1][2]
         mask = next(c.cell_contents for c in dropout_rule.__closure__
                     if isinstance(c.cell_contents, np.ndarray))
@@ -162,7 +156,7 @@ class TestBackwardSemantics:
     def test_second_backward_on_one_tape_raises(self):
         x = Variable(np.array([2.0]), requires_grad=True)
         with Tape() as tape:
-            loss = ad.total_sum(ad.hadamard(x, x))
+            loss = taped_total_sum(taped_hadamard(x, x))
         backward(tape, loss)
         with pytest.raises(RuntimeError, match="already backpropagated"):
             backward(tape, loss)
@@ -178,7 +172,7 @@ class TestBackwardSemantics:
     def test_shared_input_used_twice(self):
         x = Variable(np.array([1.5]), requires_grad=True)
         with Tape() as tape:
-            loss = ad.total_sum(ad.add(ad.hadamard(x, x), x))
+            loss = taped_total_sum(taped_add(taped_hadamard(x, x), x))
         backward(tape, loss)
         np.testing.assert_allclose(x.grad, [2 * 1.5 + 1])
 
@@ -199,8 +193,8 @@ class TestBackwardSemantics:
             x = Variable(gen.standard_normal((5, 4)), requires_grad=True)
             w = Variable(gen.standard_normal((4, 3)), requires_grad=True)
             with Tape() as tape:
-                out = ad.dropout(ad.relu(ad.matmul(x, w)), 0.3, 5)
-                loss = ad.total_sum(ad.hadamard(out, out))
+                out = ad.dropout(ad.relu(ad.matmul(x, w)), 0.3, philox(5))
+                loss = taped_total_sum(taped_hadamard(out, out))
             backward(tape, loss)
             return loss.value.copy(), x.grad.copy(), w.grad.copy()
 
@@ -230,7 +224,7 @@ class TestTapeThreads:
             with Tape() as tape:
                 futures = [others.submit(view.forward, g, x, train=False)
                            for _ in range(8)] if others else []
-                loss = ad.total_sum(model.forward(g, x, train=True, rng=SeedStream(0)))
+                loss = taped_total_sum(model.forward(g, x, train=True, rng=SeedStream(0)))
                 outs = [f.result(timeout=60) for f in futures]
             backward(tape, loss)
             return len(tape.records), [p.grad.tobytes() for p in params], outs
@@ -264,12 +258,12 @@ class TestTapeMemory:
         w = Variable(philox(1).standard_normal((4, 3)), requires_grad=True)
         with Tape() as tape:
             # add's rule keeps only shapes
-            s = ad.add(x, w)
+            s = taped_add(x, w)
             value = weakref.ref(s.value)
-            y = ad.add(s, s)
+            y = taped_add(s, s)
             del s
             assert value() is None
-            loss = ad.total_sum(y)
+            loss = taped_total_sum(y)
         backward(tape, loss)
         np.testing.assert_array_equal(x.grad, np.full((4, 3), 2.0))
         np.testing.assert_array_equal(w.grad, np.full((4, 3), 2.0))
@@ -285,8 +279,8 @@ class TestTapeMemory:
             v = Variable(v0, requires_grad=True)
             with Tape() as tape:
                 # this record takes tape_id 0, the index h carries from the first tape
-                r = ad.add(v, v)
-                loss = ad.total_sum(ad.hadamard(h_input, r))
+                r = taped_add(v, v)
+                loss = taped_total_sum(taped_hadamard(h_input, r))
             assert r.tape_id == h.tape_id == 0
             backward(tape, loss)
             return v.grad
@@ -321,22 +315,6 @@ class TestGradientsAgainstFiniteDifferences:
         b = Variable(gen.standard_normal((3, 2)), requires_grad=True)
         check_grads(lambda: weighted_sum(ad.matmul(a, b)), [a, b], self.TOL)
 
-    def test_add_broadcast_bias(self):
-        gen = philox(1)
-        x = Variable(gen.standard_normal((4, 3)), requires_grad=True)
-        b = Variable(gen.standard_normal(3), requires_grad=True)
-        check_grads(lambda: weighted_sum(ad.add(x, b)), [x, b], self.TOL)
-
-    def test_hadamard_and_scale(self):
-        gen = philox(2)
-        x = Variable(gen.standard_normal((3, 3)), requires_grad=True)
-        y = Variable(gen.standard_normal((3, 3)), requires_grad=True)
-
-        def loss():
-            return weighted_sum(ad.hadamard(ad.hadamard(ad.add(x, y), x), 0.7))
-
-        check_grads(loss, [x, y], self.TOL)
-
     def test_elementwise_nonlinearities(self):
         gen = philox(3)
         x = Variable(gen.standard_normal((4, 2)) + 0.2, requires_grad=True)
@@ -345,20 +323,23 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_dropout_fixed_mask(self):
         x = Variable(philox(4).standard_normal((5, 3)), requires_grad=True)
-        check_grads(lambda: weighted_sum(ad.dropout(x, 0.4, 99)), [x], self.TOL)
+        check_grads(lambda: weighted_sum(ad.dropout(x, 0.4, philox(99))), [x], self.TOL)
 
     def test_constant_operator_products(self):
         """Sparse operators with their transposes (a CSC view, as of the CSR
         input features, and the symmetric GCN adjacency) and a dense one,
-        which is a matrix, not a row index."""
+        which is a matrix, not a row index; with and without a bias."""
         g = erdos_renyi(6, 0.6, seed=5)
         gen = philox(6)
         x = Variable(gen.standard_normal((6, 2)), requires_grad=True)
         e = Variable(gen.standard_normal((g.n_edges, 2)), requires_grad=True)
         dense = gen.standard_normal((4, 6))
+        b = Variable(gen.standard_normal(2), requires_grad=True)
         for scatter in (g.scatter_src, g.scatter_dst):
             check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(scatter.T, scatter, x), 4),
                         [x], self.TOL)
+            check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(scatter.T, scatter, x, b),
+                                             8), [x, b], self.TOL)
             check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(scatter, scatter.T, e), 5),
                         [e], self.TOL)
         a_hat = g.gcn_adjacency
@@ -368,6 +349,8 @@ class TestGradientsAgainstFiniteDifferences:
                                       dense @ x.value)
         check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(dense, dense.T, x), 6),
                     [x], self.TOL)
+        check_grads(lambda: weighted_sum(ad.fixed_sparse_matmul(dense, dense.T, x, b), 9),
+                    [x, b], self.TOL)
 
     def test_concat_columns(self):
         gen = philox(7)
@@ -398,8 +381,8 @@ class TestGradientsAgainstFiniteDifferences:
         mask = np.array([True, True, False, True, True, True])
         target = gen.standard_normal((6, 3))
         check_grads(lambda: ad.cross_entropy(logits, labels, mask), [logits], self.TOL)
-        check_grads(lambda: ad.mse(logits, target, mask), [logits], self.TOL)
-        check_grads(lambda: ad.mae(logits, target, mask), [logits], self.TOL)
+        check_grads(lambda: ad.mse(logits, target), [logits], self.TOL)
+        check_grads(lambda: ad.mae(logits, target), [logits], self.TOL)
 
     def test_twenty_random_primitive_instances(self):
         for i in range(20):
@@ -463,8 +446,8 @@ class TestLosses:
             x = Variable(gen.standard_normal((6, 3)), requires_grad=True)
             mask = np.array([True, False, True, True, False, True])
             losses = [lambda: ad.cross_entropy(x, np.arange(6) % 3, mask),
-                      lambda: ad.mse(x, np.ones((6, 3)), mask),
-                      lambda: ad.mae(x, np.ones((6, 3)), mask)]
+                      lambda: ad.mse(x, np.ones((6, 3))),
+                      lambda: ad.mae(x, np.ones((6, 3)))]
             for make_loss in losses:
                 with Tape() as tape:
                     loss = make_loss()
@@ -578,8 +561,8 @@ class TestLinear:
             for fused in (True, False):
                 x, w, b = (Variable(v, requires_grad=True) for v in values)
                 with Tape() as tape:
-                    y = ad.matmul(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
-                    loss = ad.total_sum(ad.hadamard(y, weights))
+                    y = ad.matmul(x, w, b) if fused else taped_add(ad.matmul(x, w), b)
+                    loss = taped_total_sum(taped_hadamard(y, weights))
                 backward(tape, loss)
                 results.append([y.value] + [v.grad for v in (x, w, b)])
             for got, want in zip(*results):
@@ -587,6 +570,69 @@ class TestLinear:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
         finally:
             set_default_dtype(previous)
+
+
+class TestFixedSparseMatmul:
+    """``ad.fixed_sparse_matmul`` with its fused bias, the one record of the
+    CSR embedding."""
+
+    @staticmethod
+    def operators(dtype):
+        import scipy.sparse as sp
+        dense = philox(60).standard_normal((7, 5)).astype(dtype)
+        dense[np.abs(dense) < 0.8] = 0.0
+        return {"csr": sp.csr_matrix(dense), "dense": dense}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("kind", ["csr", "dense"])
+    def test_fused_bias_matches_separate_add_bit_for_bit(self, dtype, kind):
+        """fixed_sparse_matmul(m, m.T, w, b) gives the value and the
+        gradients, for w and b, of add(fixed_sparse_matmul(m, m.T, w), b), to
+        the bit, in one record fewer."""
+        previous = default_dtype().name
+        set_default_dtype(dtype)
+        try:
+            m = self.operators(dtype)[kind]
+            gen = philox(61)
+            values = gen.standard_normal((5, 3)), gen.standard_normal(3)
+            weights = Variable(gen.standard_normal((7, 3)))
+            results = []
+            for fused in (True, False):
+                w, b = (Variable(v, requires_grad=True) for v in values)
+                with Tape() as tape:
+                    y = (ad.fixed_sparse_matmul(m, m.T, w, b) if fused
+                         else taped_add(ad.fixed_sparse_matmul(m, m.T, w), b))
+                    loss = taped_total_sum(taped_hadamard(y, weights))
+                backward(tape, loss)
+                results.append(([y.value, w.grad, b.grad], len(tape.records)))
+            (fused, fused_records), (separate, separate_records) = results
+            assert fused_records == separate_records - 1
+            for got, want in zip(fused, separate):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        finally:
+            set_default_dtype(previous)
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ValueError, match="fixed_sparse_matmul: bias"):
+            ad.fixed_sparse_matmul(np.eye(3), np.eye(3), np.ones((3, 4)), np.ones((1, 4)))
+
+    def test_csr_input_tapes_as_many_records_as_dense_input(self):
+        """The CSR embedding and its bias are one record, as the dense
+        embedding is; input dropout acts on a constant, untaped."""
+        from adrgnn.models import SparseFeatures
+        g = erdos_renyi(12, 0.4, seed=3)
+        model = AdrGnnStatic.init(c_in=3, c_out=2, hidden=4, layers=1, h=0.5,
+                                  use_batchnorm=True, dropout_io=0.2, seed=2)
+        x = philox(4).standard_normal((12, 3))
+        counts = []
+        for features in (x, SparseFeatures(x)):
+            with Tape() as tape:
+                ad.cross_entropy(model.forward(g, features, train=True, rng=SeedStream(0)),
+                                 np.arange(12) % 2)
+            counts.append(len(tape.records))
+        # embedding, advection, hardtanh, series, reaction, dropout, head, loss
+        assert counts == [8, 8]
 
 
 class TestWeightedTransport:
@@ -617,10 +663,10 @@ class TestWeightedTransport:
                     else:
                         x_src = taped_operator(g.edge_src, g.scatter_src, x)
                         inbound = taped_operator(g.scatter_dst, g.edge_dst,
-                                                 ad.hadamard(w, x_src))
-                        y = ad.add(x, taped_scale(
-                            taped_subtract(inbound, ad.hadamard(x, keep)), 0.6))
-                    loss = ad.total_sum(ad.hadamard(y, upstream))
+                                                 taped_hadamard(w, x_src))
+                        y = taped_add(x, taped_scale(
+                            taped_subtract(inbound, taped_hadamard(x, keep)), 0.6))
+                    loss = taped_total_sum(taped_hadamard(y, upstream))
                 backward(tape, loss)
                 results.append((y.value, x.grad, len(tape.records)))
             (*fused_arrays, fused_records), (*composed_arrays, composed_records) = results
@@ -665,8 +711,8 @@ class TestFusedReaction:
                 state = BatchNormState(*(Variable(s).value for s in stats)) if norm else None
                 with Tape() as tape:
                     y = op(u, u0, weights, 0.6, state, norm == "train")
-                    loss = ad.add(ad.total_sum(ad.hadamard(y, upstream)),
-                                  ad.total_sum(ad.hadamard(u, outside)))
+                    loss = taped_add(taped_total_sum(taped_hadamard(y, upstream)),
+                                     taped_total_sum(taped_hadamard(u, outside)))
                 backward(tape, loss)
                 arrays = [y.value, u.grad, u0.grad] + [w.grad for w in weights]
                 if state is not None:

@@ -330,8 +330,13 @@ class TestGradcheckCommand:
         assert code == 0
         rows = read_csv(out / "gradcheck.csv")
         assert all(r["status"] == "pass" for r in rows)
-        assert len(rows) >= 20
-        assert "linear" in {r["check"] for r in rows}  # the fused rule Linear runs
+        # one row per taped primitive (matmul twice: "linear" is its fused
+        # bias, the rule Linear runs), then the series and the models
+        assert [r["check"] for r in rows] == [
+            "matmul", "linear", "relu", "hardtanh", "dropout", "concat_columns", "advection",
+            "reaction", "reaction_batch_norm_train", "reaction_batch_norm_eval",
+            "cross_entropy", "mse", "mae", "cg_solve_degree5", "adr_layer_degree5",
+            "cg_solve_degree40", "adr_layer_degree40", "forward_static", "forward_temporal"]
 
 
 class TestEnergyCommand:
@@ -435,7 +440,8 @@ class TestUsageErrors:
         assert "hidden=0 must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, named", [("--channels", "channels=0"),
-                                             ("--sources", "n_sources=0")])
+                                             ("--sources", "n_sources=0"),
+                                             ("--layers", "layers=0")])
     def test_transport_size_zero_exits_2_naming_it(self, flag, named, tmp_path, capsys):
         code = main(["transport", "--terms", "A", "--epochs", "2", flag, "0",
                      "--out", str(tmp_path / "transport")])

@@ -16,8 +16,8 @@ from adrgnn.operators import (AdrLayerParams, AdvectionParams, adr_layer, advect
                               react)
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
-from conftest import (prenorm_orientations, taped_operator, taped_scale, taped_segment_softmax,
-                      taped_subtract)
+from conftest import (prenorm_orientations, taped_add, taped_hadamard, taped_operator,
+                      taped_scale, taped_segment_softmax, taped_subtract, taped_total_sum)
 
 
 def _graphs():
@@ -33,8 +33,8 @@ def _graphs():
 def _reference_edge_scores(g, u, a1, a2, w3, w4):
     """The eleven-record composition: the a1 and a2 maps, gathers, add,
     ReLU, a3, reverse gather, subtract, ReLU, a4."""
-    edge_pre = ad.add(taped_operator(g.edge_src, g.scatter_src, a1(u)),
-                      taped_operator(g.edge_dst, g.scatter_dst, a2(u)))
+    edge_pre = taped_add(taped_operator(g.edge_src, g.scatter_src, a1(u)),
+                         taped_operator(g.edge_dst, g.scatter_dst, a2(u)))
     z = ad.matmul(ad.relu(edge_pre), w3)
     z_rev = taped_operator(g.rev_edge, g.rev_edge, z)
     return ad.matmul(ad.relu(taped_subtract(z, z_rev)), w4), (z, z_rev)
@@ -54,10 +54,10 @@ def _reference_edge_velocities(g, u, params, return_prenorm=False):
 def _reference_advect(g, u, velocities, h):
     """The transport as gather, hadamard and scatter records, then the
     outflow hadamard, subtract, scale and add records."""
-    inbound = taped_operator(g.scatter_dst, g.edge_dst, ad.hadamard(
+    inbound = taped_operator(g.scatter_dst, g.edge_dst, taped_hadamard(
         velocities, taped_operator(g.edge_src, g.scatter_src, u)))
-    outflow = ad.hadamard(u, (~g.isolated).astype(float)[:, None])
-    return ad.add(u, taped_scale(taped_subtract(inbound, outflow), h))
+    outflow = taped_hadamard(u, (~g.isolated).astype(float)[:, None])
+    return taped_add(u, taped_scale(taped_subtract(inbound, outflow), h))
 
 
 def _reference_layer(g, u, u0, params, h, velocity_features=None):
@@ -102,8 +102,8 @@ class TestEdgeScoresBitIdentical:
                     out = advect(g, u, operators.edge_velocities(g, u, params), 0.7)
                 else:
                     out = _reference_advect(g, u, _reference_edge_velocities(g, u, params), 0.7)
-                loss = ad.add(ad.total_sum(ad.hadamard(out, upstream)),
-                              ad.total_sum(ad.hadamard(u, outside)))
+                loss = taped_add(taped_total_sum(taped_hadamard(out, upstream)),
+                                 taped_total_sum(taped_hadamard(u, outside)))
             backward(tape, loss)
             results.append(([out.value, u.grad] + [p.grad for p in params.parameters()],
                             len(tape.records)))
@@ -136,7 +136,7 @@ class TestEdgeScoresBitIdentical:
                     with Tape() as tape:
                         out = layer(g, u, u0, params, 0.7,
                                     velocity_features=feats if separate else None)
-                        loss = ad.total_sum(ad.hadamard(out, upstream))
+                        loss = taped_total_sum(taped_hadamard(out, upstream))
                     backward(tape, loss)
                     wrt = [u, u0, feats] + [p for _group, part in params.parts()
                                             for p in part.parameters()]

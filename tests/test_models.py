@@ -16,6 +16,8 @@ from adrgnn.operators import advect, diffuse, edge_velocities, react
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 from adrgnn.training import GROUPS, AdamW, train_step
 
+from conftest import taped_add, taped_total_sum
+
 
 def small_model(kind: str, use_batchnorm: bool = False):
     """A small model of each kind, with inputs for a 7-node graph."""
@@ -75,14 +77,14 @@ class TestStaticForward:
         x = philox(8).standard_normal((5, 3))
         out = model.forward(g, x).value
 
-        u = ad.add(ad.matmul(Variable(x), model.g_in.w), model.g_in.b)
+        u = taped_add(ad.matmul(Variable(x), model.g_in.w), model.g_in.b)
         u0 = u
         for layer in model.layers:
             v = edge_velocities(g, u, layer.advection)
             u = advect(g, u, v, 0.6)
             u = diffuse(g, u, layer.diffusion, 0.6, cg_iterations=30)
             u = react(u, u0, layer.reaction, 0.6)
-        manual = ad.add(ad.matmul(u, model.g_out.w), model.g_out.b).value
+        manual = taped_add(ad.matmul(u, model.g_out.w), model.g_out.b).value
         np.testing.assert_array_equal(out, manual)
 
     def test_dropout_requires_rng_in_train(self):
@@ -142,12 +144,12 @@ class TestStaticForward:
         views = []
 
         def grad_of_embedding(csr_transpose: bool) -> bytes:
-            def spy(matrix, matrix_t, v):
+            def spy(matrix, matrix_t, v, bias=None):
                 if sp.issparse(matrix):
                     views.append(np.shares_memory(matrix.data, matrix_t.data))
                     if csr_transpose:
                         matrix_t = matrix_t.tocsr()
-                return fixed(matrix, matrix_t, v)
+                return fixed(matrix, matrix_t, v, bias)
 
             monkeypatch.setattr(ad, "fixed_sparse_matmul", spy)
             model.g_in.w.zero_grad()
@@ -258,16 +260,16 @@ class TestTemporalForward:
         emb = broadcast_time_embedding(time_embedding([0.0], 2), 6)
         out = model.forward(g, x, emb).value
 
-        temb = ad.add(ad.matmul(Variable(emb), model.g_time_embed.w), model.g_time_embed.b)
+        temb = taped_add(ad.matmul(Variable(emb), model.g_time_embed.w), model.g_time_embed.b)
         state_in = ad.concat_columns([Variable(x), temb])
-        u = ad.add(ad.matmul(state_in, model.g_in_state.w), model.g_in_state.b)
+        u = taped_add(ad.matmul(state_in, model.g_in_state.w), model.g_in_state.b)
         layer = model.layers[0]
         zero_hist = Variable(np.zeros((6, 4)))
         v = edge_velocities(g, zero_hist, layer.advection)
         u = advect(g, u, v, 1.0)
         u = diffuse(g, u, layer.diffusion, 1.0, cg_iterations=30)
         u = react(u, zero_hist, layer.reaction, 1.0)
-        manual = ad.add(ad.matmul(u, model.g_out_state.w), model.g_out_state.b).value
+        manual = taped_add(ad.matmul(u, model.g_out_state.w), model.g_out_state.b).value
         np.testing.assert_allclose(out, manual, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -329,9 +331,9 @@ class TestGcnBaseline:
         operators = []
         real = ad.fixed_sparse_matmul
 
-        def spy(matrix, matrix_t, x):
+        def spy(matrix, matrix_t, x, bias=None):
             operators.append(matrix)
-            return real(matrix, matrix_t, x)
+            return real(matrix, matrix_t, x, bias)
 
         monkeypatch.setattr(ad, "fixed_sparse_matmul", spy)
         g = erdos_renyi(9, 0.4, seed=1)
@@ -535,7 +537,7 @@ class TestParameterRegistry:
         g = erdos_renyi(7, 0.5, seed=0)
 
         def loss():
-            return ad.total_sum(model.forward(g, *inputs, train=True, rng=SeedStream(1)))
+            return taped_total_sum(model.forward(g, *inputs, train=True, rng=SeedStream(1)))
 
         optimizer = AdamW(model.param_groups(), {grp: 0.1 for grp in GROUPS},
                           {grp: 0.01 for grp in GROUPS})
@@ -565,7 +567,7 @@ class TestParameterRegistry:
         g = erdos_renyi(7, 0.5, seed=0)
 
         def loss():
-            return ad.total_sum(model.forward(g, *inputs, train=True, rng=SeedStream(1)))
+            return taped_total_sum(model.forward(g, *inputs, train=True, rng=SeedStream(1)))
 
         optimizer = AdamW(model.param_groups(), {grp: 0.1 for grp in GROUPS},
                           {grp: 0.0 for grp in GROUPS})

@@ -14,7 +14,7 @@ from adrgnn.operators import (AdrLayerParams, AdvectionParams, DiffusionParams,
 from adrgnn.runtime import philox
 
 from conftest import (advection_matrix, check_grads, prenorm_orientations, random_velocities,
-                      taped_subtract)
+                      taped_hadamard, taped_subtract, taped_total_sum)
 
 
 def make_velocities(graph, c, seed):
@@ -368,7 +368,7 @@ class TestAdrLayer:
 
         def loss():
             out = adr_layer(g, u, u0, params, h=0.6, cg_iterations=100)
-            return ad.total_sum(ad.hadamard(out, w))
+            return taped_total_sum(taped_hadamard(out, w))
 
         wrt = ([u, u0] + params.advection.parameters()
                + params.diffusion.parameters() + params.reaction.parameters())

@@ -25,7 +25,7 @@ from adrgnn.training import (GROUPS, LOSSES, AdamW, Metrics, TrainConfig, Traini
                              transport_fit)
 from adrgnn.runtime import SeedStream, default_dtype, philox, set_default_dtype
 
-from conftest import bag_of_words_bundle
+from conftest import bag_of_words_bundle, taped_hadamard, taped_total_sum
 
 
 def flat_cfg(**kwargs) -> TrainConfig:
@@ -729,7 +729,7 @@ class TestTrainStep:
     def test_steps_and_clears_the_gradients(self):
         p = Variable(np.array([1.0, -2.0]), requires_grad=True, name="p")
         opt = AdamW({"g": [p]}, {"g": 0.1}, {"g": 0.0})
-        value = train_step(opt, lambda: ad.total_sum(ad.hadamard(p, p)), "here")
+        value = train_step(opt, lambda: taped_total_sum(taped_hadamard(p, p)), "here")
         assert value == 5.0
         np.testing.assert_allclose(p.value, [0.9, -1.9])
         np.testing.assert_array_equal(p.grad, 0.0)
@@ -738,7 +738,7 @@ class TestTrainStep:
         p = Variable(np.array([1.0]), requires_grad=True, name="p")
         opt = AdamW({"g": [p]}, {"g": 0.1}, {"g": 0.0})
         with pytest.raises(TrainingDiverged, match=r"^non-finite loss at here$"):
-            train_step(opt, lambda: ad.total_sum(ad.hadamard(p, np.inf)), "here")
+            train_step(opt, lambda: taped_total_sum(taped_hadamard(p, np.inf)), "here")
 
         def overflow():
             raise FloatingPointError("boom")
